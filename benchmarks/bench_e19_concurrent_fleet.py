@@ -1,16 +1,16 @@
 """E19 — concurrent fleet execution: parallel bins, bit-identical results.
 
-The same 8-tenant Zipf-skewed fleet as E18 is run three times over the
-same per-tenant workloads — serial, thread mode, and process mode — and
-every run is fingerprinted down to the bit: per-tenant bin records,
+The same 8-tenant Zipf-skewed fleet as E18 is run twice over the same
+per-tenant workloads — serial and process mode — and every run is
+fingerprinted down to the bit: per-tenant bin records,
 event streams (wall-time keys stripped), final physical configurations,
 and the fleet counter rollup.
 
 Claims asserted:
 
-- **determinism** — thread and process mode produce fingerprints
-  *equal* to serial: the commit-ordered arbiter barrier makes the
-  execution mode invisible to every decision and every counter;
+- **determinism** — process mode produces a fingerprint *equal* to
+  serial: both modes run the same commit-ordered bin protocol, so the
+  execution mode is invisible to every decision and every counter;
 - **incremental rollups** — ``report()`` performs zero full
   registry walks (``snapshot_counters``); the rollup is assembled
   from per-bin dirty-counter drains as bins complete;
@@ -119,11 +119,9 @@ def _run_mode(mode: str, bins: int, rows: int, workers: int | None = None):
 
 def run_concurrent_comparison(bins: int = 12, rows: int = 4_000) -> dict:
     serial = _run_mode("serial", bins, rows)
-    thread = _run_mode("thread", bins, rows)
     process = _run_mode("process", bins, rows)
     return {
         "serial": serial,
-        "thread": thread,
         "process": process,
         "speedup": serial["wall_s"] / process["wall_s"],
         "cpus": os.cpu_count() or 1,
@@ -132,19 +130,18 @@ def run_concurrent_comparison(bins: int = 12, rows: int = 4_000) -> dict:
 
 def check(result: dict) -> None:
     serial = result["serial"]["fingerprint"]
-    for mode in ("thread", "process"):
-        run = result[mode]["fingerprint"]
-        assert run["tenants"] == serial["tenants"], (
-            f"{mode} mode diverged from serial in per-tenant "
-            "records/events/configurations"
-        )
-        assert run["counters"] == serial["counters"], (
-            f"{mode} mode fleet rollup is not bit-equal to serial"
-        )
-        assert run["arbitration"] == serial["arbitration"], (
-            f"{mode} mode arbitration summary diverged from serial"
-        )
-    for mode in ("serial", "thread", "process"):
+    run = result["process"]["fingerprint"]
+    assert run["tenants"] == serial["tenants"], (
+        "process mode diverged from serial in per-tenant "
+        "records/events/configurations"
+    )
+    assert run["counters"] == serial["counters"], (
+        "process mode fleet rollup is not bit-equal to serial"
+    )
+    assert run["arbitration"] == serial["arbitration"], (
+        "process mode arbitration summary diverged from serial"
+    )
+    for mode in ("serial", "process"):
         walks = result[mode]["report_walks"]
         assert walks == 0, (
             f"{mode} report() walked full registries {walks} times; the "
@@ -160,7 +157,7 @@ def check(result: dict) -> None:
 def report(result: dict) -> None:
     rows = []
     serial_wall = result["serial"]["wall_s"]
-    for mode in ("serial", "thread", "process"):
+    for mode in ("serial", "process"):
         run = result[mode]
         identical = (
             "baseline"
@@ -204,7 +201,7 @@ def main(argv: list[str] | None = None) -> int:
     check(result)
     print(
         f"OK (process {result['speedup']:.2f}x vs serial on "
-        f"{result['cpus']} CPUs, thread and process modes bit-identical, "
+        f"{result['cpus']} CPUs, process mode bit-identical to serial, "
         "0 registry walks in report)"
     )
     return 0

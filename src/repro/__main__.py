@@ -632,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--no-arbitrate", action="store_true",
                        help="disable admission arbitration")
     fleet.add_argument("--parallel", default="serial",
-                       choices=["serial", "thread", "process"],
+                       choices=["serial", "process"],
                        help="execution mode for tenant bins (results are "
                             "bit-identical across modes)")
     fleet.add_argument("--checkpoint-dir", default=None,

@@ -109,10 +109,6 @@ class LearnedCostModel(CostEstimator):
     # learning
 
     @property
-    def observation_count(self) -> int:
-        return len(self._targets)
-
-    @property
     def is_fitted(self) -> bool:
         return self._coefficients is not None
 

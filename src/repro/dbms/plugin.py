@@ -67,9 +67,6 @@ class PluginHost:
         except KeyError:
             raise PluginError(f"plugin {name!r} is not attached") from None
 
-    def plugin_names(self) -> tuple[str, ...]:
-        return tuple(self._plugins)
-
     def tick(self, now_ms: float) -> None:
         for plugin in list(self._plugins.values()):
             plugin.on_tick(now_ms)

@@ -49,10 +49,6 @@ class ConstraintError(ReproError):
     """A constraint definition is invalid or cannot be evaluated."""
 
 
-class ConstraintViolation(ReproError):
-    """A selection or configuration violates an enforced constraint."""
-
-
 class CostModelError(ReproError):
     """A cost model could not produce an estimate."""
 

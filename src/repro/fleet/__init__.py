@@ -4,10 +4,10 @@ One :class:`TenantContext` per tenant (the complete self-management
 stack, lifted out of the driver), one :class:`FleetOrganizer` across
 them (tuning-budget arbitration plus prior sharing), and a
 :class:`FleetDriver` ticking every tenant's closed loop in lockstep
-simulated time — serially or concurrently (``parallel="thread" |
-"process"``) behind a commit-ordered arbiter barrier that keeps
-concurrent runs bit-identical to serial. ``build_fleet`` is the
-one-call constructor the CLI and benchmarks use.
+simulated time — in this process or on forked workers
+(``parallel="serial" | "process"``), both through one commit-ordered
+bin protocol that keeps the two modes bit-identical. ``build_fleet`` is
+the one-call constructor the CLI and benchmarks use.
 """
 
 from repro.fleet.arbiter import (

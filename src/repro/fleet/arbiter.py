@@ -3,7 +3,9 @@
 The paper's Organizer is "the arbiter of constraints and ordering" for
 one database; at fleet scale something must arbitrate *across* tenants.
 :class:`FleetOrganizer` does three things, all through the two hooks the
-per-tenant organizer exposes (admission + commit listener) and the
+per-tenant organizer exposes (admission + commit listener, answered by a
+:class:`~repro.fleet.parallel.TickRecorder` whose rulings and harvests
+the arbiter applies) and the
 :meth:`~repro.core.organizer.Organizer.replay_pass` entry point — it
 never reaches into another tenant's components:
 
@@ -28,16 +30,16 @@ never reaches into another tenant's components:
 Urgent work is never arbitrated: SLA-violation triggers are admitted
 unconditionally and guard escalations bypass admission entirely.
 
-**Concurrent fleets.** The decision logic is factored into pure
-functions over small picklable snapshots so the parallel fleet driver
-can run tenant ticks in worker processes while keeping every arbiter
-decision deterministic: :func:`compute_digest` captures the slice of a
-tenant another tenant's admission may read (hotness, observed mix,
-guard state — values that only change at tick time),
-:class:`ArbiterView` freezes the arbiter's mutable state plus all
+**Decision snapshots.** The decision logic is pure functions over
+small picklable snapshots, so tenant ticks can run in this process or in
+a worker process with the same decisions: :func:`compute_digest`
+captures the slice of a tenant another tenant's admission may read
+(hotness, observed mix, guard state — values that only change at tick
+time), :class:`ArbiterView` freezes the arbiter's mutable state plus all
 digests, and :func:`rule_admission` / :func:`replay_gate` /
-:func:`attempt_replay` reproduce the serial decisions bit-for-bit from
-those snapshots (``tests/fleet/test_parallel.py`` holds the identity).
+:func:`attempt_replay` decide from those snapshots
+(``tests/fleet/test_parallel.py`` holds serial and process runs
+identical).
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from dataclasses import dataclass
 from repro.configuration.actions import Action
 from repro.configuration.delta import ConfigurationDelta
 from repro.core.organizer import Organizer, OrganizerRunReport
-from repro.core.triggers import SlaViolationTrigger, TriggerDecision
+from repro.core.triggers import SlaViolationTrigger
 from repro.fleet.context import TenantContext
 from repro.forecasting.scenarios import Forecast, WorkloadScenario
 from repro.guard.forecast_miss import total_variation
@@ -122,7 +124,7 @@ class ReplayOutcome:
 
 
 # ----------------------------------------------------------------------
-# picklable decision snapshots (shared by the serial and parallel paths)
+# picklable decision snapshots
 
 
 @dataclass(frozen=True)
@@ -175,7 +177,7 @@ class AdmissionRuling:
     reason: str
     #: increment the tenant's defer count (waiting for a cluster prior)
     deferred: bool = False
-    #: apply the ``_note_admitted`` bookkeeping (stamp + per-bin set)
+    #: apply the admission bookkeeping (stamp, per-bin set, defer reset)
     noted: bool = False
     now_ms: float = 0.0
 
@@ -404,7 +406,7 @@ def attempt_replay(
 
     The expensive half of a replay attempt (pricing + ``replay_pass``);
     runs wherever the tenant's stack lives — in-process for the serial
-    fleet, inside the owning worker for the parallel fleet. Touches no
+    fleet, inside the owning worker for the process fleet. Touches no
     arbiter state: the caller records the outcome.
     """
     organizer: Organizer = ctx.organizer
@@ -452,26 +454,6 @@ def attempt_replay(
     )
 
 
-class _LocalTransport:
-    """Replay transport over in-process contexts (the serial fleet)."""
-
-    def __init__(self, organizer: "FleetOrganizer") -> None:
-        self._organizer = organizer
-
-    def active_reconfigurations(self) -> int:
-        return self._organizer.active_reconfigurations()
-
-    def digest(self, tenant: str) -> TenantDigest:
-        organizer = self._organizer
-        return compute_digest(organizer._tenants[tenant], organizer.config)
-
-    def attempt(self, prior: TuningPrior, tenant: str) -> ReplayOutcome | None:
-        organizer = self._organizer
-        return attempt_replay(
-            organizer._tenants[tenant], prior, organizer.config
-        )
-
-
 class FleetOrganizer:
     """Arbitrates tuning budget and shares priors across tenant contexts."""
 
@@ -490,9 +472,6 @@ class FleetOrganizer:
         self._replays: dict[str, int] = {}
         #: tenants force-quarantined by the fleet (restore failures)
         self._quarantined: set[str] = set()
-        #: replay transport override (the parallel driver installs one
-        #: that routes attempts to worker processes); None = in-process
-        self._transport = None
 
     @property
     def config(self) -> FleetConfig:
@@ -576,65 +555,36 @@ class FleetOrganizer:
     def register(self, ctx: TenantContext) -> None:
         """Put one tenant under fleet arbitration.
 
-        Installs the admission hook and the commit listener on the
-        tenant's organizer; everything else stays the tenant's own.
+        The arbiter never touches the tenant's organizer: admissions and
+        commits reach it as rulings and harvests recorded during the
+        tenant's tick (:meth:`apply_ruling`, :meth:`ingest_harvest`).
         """
         if ctx.tenant in self._tenants:
             raise ValueError(f"tenant {ctx.tenant!r} already registered")
         self._tenants[ctx.tenant] = ctx
-        self.rebind(ctx)
-
-    def rebind(self, ctx: TenantContext) -> None:
-        """(Re)install the arbiter hooks on ``ctx``'s organizer.
-
-        Used at registration and again after the parallel driver merges
-        worker state back (the merged context carries a fresh organizer
-        whose hooks were detached for transfer).
-        """
-        organizer = ctx.organizer
-        if self._config.arbitrate:
-            organizer.set_admission(
-                lambda org, decision, _ctx=ctx: self._admit(_ctx, decision)
-            )
-        organizer.set_commit_listener(
-            lambda org, report, _ctx=ctx: self._harvest(_ctx, report)
-        )
 
     def begin_bin(self) -> None:
         """Reset per-bin admission accounting (called at bin start)."""
         self._admitted_this_bin.clear()
 
-    def active_reconfigurations(self, exclude: str | None = None) -> int:
+    def active_reconfigurations(self) -> int:
         """Tenants currently holding an active probation commit."""
         return sum(
             1
-            for tenant, ctx in self._tenants.items()
-            if tenant != exclude
-            and ctx.organizer.guard.active_commit is not None
+            for ctx in self._tenants.values()
+            if ctx.organizer.guard.active_commit is not None
         )
 
     # ------------------------------------------------------------------
-    # decision snapshots (the parallel driver ships these to workers)
+    # admission (rulings come back from the tenant's tick)
 
-    def digest(self, ctx: TenantContext) -> TenantDigest:
-        """Live digest of one registered tenant."""
-        return compute_digest(ctx, self._config)
-
-    def view(
-        self, digests: dict[str, TenantDigest] | None = None
-    ) -> ArbiterView:
+    def view(self, digests: dict[str, TenantDigest]) -> ArbiterView:
         """Freeze the arbiter's mutable state (plus digests) for a ruling.
 
-        Without ``digests`` they are computed live from the registered
-        contexts, in registration order; the parallel driver passes its
-        digest cache instead (same order, same values — every digest
-        field is tick-stable).
+        ``digests`` is the fleet driver's digest cache, in registration
+        order (ranking iteration order is part of the deterministic
+        contract); every digest field is tick-stable.
         """
-        if digests is None:
-            digests = {
-                tenant: self.digest(ctx)
-                for tenant, ctx in self._tenants.items()
-            }
         return ArbiterView(
             config=self._config,
             digests=dict(digests),
@@ -651,34 +601,12 @@ class FleetOrganizer:
                 self._defers.get(ruling.tenant, 0) + 1
             )
         if ruling.noted:
-            self._note_admitted(ruling.tenant, ruling.now_ms)
+            self._last_admitted_ms[ruling.tenant] = ruling.now_ms
+            self._admitted_this_bin.add(ruling.tenant)
+            self._defers.pop(ruling.tenant, None)
 
     # ------------------------------------------------------------------
-    # admission (the per-tenant organizer calls this from tick())
-
-    def _admit(
-        self, ctx: TenantContext, decision: TriggerDecision
-    ) -> tuple[bool, str]:
-        ruling = rule_admission(
-            self.view(), self.digest(ctx), decision.trigger
-        )
-        self.apply_ruling(ruling)
-        return ruling.admitted, ruling.reason
-
-    def _note_admitted(self, tenant: str, now_ms: float) -> None:
-        self._last_admitted_ms[tenant] = now_ms
-        self._admitted_this_bin.add(tenant)
-        self._defers.pop(tenant, None)
-
-    # ------------------------------------------------------------------
-    # prior harvesting (the organizer's commit listener)
-
-    def _harvest(
-        self, ctx: TenantContext, report: OrganizerRunReport
-    ) -> None:
-        self.ingest_harvest(
-            build_harvest(ctx, report, self._config.mix_window_bins)
-        )
+    # prior harvesting (commits recorded during the tenant's tick)
 
     def ingest_harvest(self, record: HarvestRecord) -> None:
         """Account one committed pass and maybe turn it into a prior.
@@ -715,19 +643,13 @@ class FleetOrganizer:
     # ------------------------------------------------------------------
     # prior replay (driven by the fleet driver after each bin)
 
-    def set_transport(self, transport) -> None:
-        """Install (or clear) the replay transport.
-
-        The transport answers three questions — how many tenants are
-        busy, what is a tenant's digest, and what does a validate-then-
-        apply attempt return — against wherever the tenant stacks
-        currently live. ``None`` restores the in-process default.
-        """
-        self._transport = transport
-
-    def replay_round(self) -> list[ReplayOutcome]:
+    def replay_round(self, transport) -> list[ReplayOutcome]:
         """Try every unattempted (prior, look-alike tenant) pair once.
 
+        ``transport`` answers three questions — how many tenants are
+        busy, what is a tenant's digest, and what does a validate-then-
+        apply attempt return — against wherever the tenant stacks live
+        (:class:`~repro.fleet.parallel.HostReplayTransport`).
         Validation prices the prior's cluster mix — rescaled to the
         target tenant's recent volume — on the *target's* optimizer,
         with and without the prior's actions; the pass applies only when
@@ -736,7 +658,6 @@ class FleetOrganizer:
         """
         if not self._config.share_priors:
             return []
-        transport = self._transport or _LocalTransport(self)
         round_outcomes: list[ReplayOutcome] = []
         for prior in self._priors:
             for tenant in self._tenants:

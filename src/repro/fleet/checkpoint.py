@@ -113,10 +113,6 @@ class FleetCheckpoint:
     #: room for future additions without a format bump
     extra: dict[str, object] = field(default_factory=dict)
 
-    @property
-    def tenant_ids(self) -> tuple[str, ...]:
-        return tuple(state.tenant for state in self.tenants)
-
     def state_for(self, tenant: str) -> TenantState:
         for state in self.tenants:
             if state.tenant == tenant:

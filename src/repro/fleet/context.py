@@ -239,8 +239,9 @@ class TenantContext:
     def transfer_snapshot(self) -> bytes:
         """Pickle this context for transfer out of a fleet worker.
 
-        The arbiter hooks are detached (they close over worker-local
-        recorders) and the workload slots are nulled: the trace holds
+        The arbiter hooks are detached (they close over process-local
+        recorders; the next tick re-arms them) and the workload slots
+        are nulled: the trace holds
         query-family sampler closures that cannot pickle, and the parent
         still owns its own copy — the workload is immutable, so nothing
         is lost. Everything else — database, clock, telemetry, events,
@@ -268,8 +269,8 @@ class TenantContext:
         parent's own trace (stripped for transfer), and the records list
         stays the parent's: the driver appends bin records parent-side
         as ticks complete, so the parent copy is the complete one. The
-        caller must re-install the arbiter hooks (``FleetOrganizer.
-        rebind``) afterwards.
+        arbiter hooks stay detached until the tenant's next tick re-arms
+        them (:meth:`repro.fleet.parallel.TickRecorder.arm`).
         """
         from repro.core.simulation import ClosedLoopSimulation
 

@@ -12,22 +12,25 @@ one-tenant fleet bit-identical to the legacy
 ``ClosedLoopSimulation(db, trace, seed).run()`` loop (the golden tests
 in ``tests/fleet/`` hold this on multiple seeds).
 
-**Execution modes.** ``parallel="serial"`` (the default) is the legacy
-loop. ``"thread"`` and ``"process"`` run each bin's *execute* phases
-concurrently across tenants — the only phase that scales with cores —
-then rendezvous at a commit-ordered barrier: plugin ticks (where the
-self-management loop and the fleet arbiter run) happen one tenant at a
-time in the same hot-first order as the serial loop. Everything the
-arbiter reads about a tenant changes only at tick time, so the barrier
-makes all three modes **bit-identical** — same bin records, same event
-streams, same commits (``tests/fleet/test_parallel.py`` holds this on
-multiple seeds). Process mode forks persistent workers
-(:mod:`repro.fleet.parallel`) and merges their state back before
-reporting.
+**One bin protocol, two hosts.** Every bin runs the same barrier:
+``execute_all`` runs each tenant's queries, then plugin ticks (where the
+self-management loop runs) happen one tenant at a time in hot-first
+order against a frozen arbiter view, and the rulings and harvests each
+tick recorded are applied to the arbiter before the next tenant ticks;
+a replay round closes the bin (:mod:`repro.fleet.parallel`).
+``parallel="serial"`` (the default) runs the protocol on a
+:class:`~repro.fleet.parallel.TenantHost` in this process;
+``"process"`` runs it on forked workers, each serving a host over its
+tenants, and merges their state back before reporting. Everything the
+arbiter reads about a tenant changes only at tick time, so both modes
+are **bit-identical** — same bin records, same event streams, same
+commits (``tests/fleet/test_parallel.py`` holds this on multiple
+seeds). Only process mode has crash supervision and a per-bin restore
+point: only a forked worker can die.
 
-Fleet rollups are **incremental**: every tenant registry gets a
-:class:`~repro.telemetry.metrics.DeltaTracker`, and per-bin counter
-deltas accumulate into the report as bins complete —
+Fleet rollups are **incremental**: every tenant registry and the fleet's
+own registry get a :class:`~repro.telemetry.metrics.DeltaTracker`, and
+counter changes accumulate into the report as bins complete —
 :meth:`FleetDriver.report` never re-walks the registries.
 
 :func:`build_fleet` is the canonical constructor: it lays out tenants
@@ -40,7 +43,6 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -60,6 +62,7 @@ from repro.fleet.arbiter import (
     FleetOrganizer,
     ReplayOutcome,
     TenantDigest,
+    compute_digest,
 )
 from repro.fleet.checkpoint import (
     CheckpointError,
@@ -74,6 +77,13 @@ from repro.fleet.checkpoint import (
     write_encoded,
 )
 from repro.fleet.context import TenantContext
+from repro.fleet.parallel import (
+    HARVEST,
+    FleetWorkerPool,
+    HostReplayTransport,
+    TenantHost,
+    WorkerCrashed,
+)
 from repro.fleet.workload import (
     TenantSpec,
     build_tenant_suite,
@@ -87,13 +97,14 @@ from repro.kpi.metrics import (
     CHECKPOINT_WRITE_MS,
     CHECKPOINT_WRITES,
     FLEET_TENANT_QUARANTINES,
+    WORKER_HARD_KILLS,
     WORKER_RESTARTS,
 )
 from repro.plan.cache import PlanCacheStats
-from repro.telemetry.metrics import DeltaTracker, MetricRegistry
+from repro.telemetry.metrics import MetricRegistry
 
 #: Execution modes accepted by :class:`FleetDriver`.
-PARALLEL_MODES = ("serial", "thread", "process")
+PARALLEL_MODES = ("serial", "process")
 
 
 @dataclass
@@ -195,20 +206,21 @@ class FleetDriver:
         self._n_bins = min(len(ctx.trace.bins) for ctx in self._contexts)
         #: the only bin :meth:`run_bin` will accept next (re-entry guard)
         self._next_bin = 0
+        #: the bin-protocol host over the contexts in this process: the
+        #: serial fleet's host, and the snapshot source whenever no
+        #: worker pool is running
+        self._host = TenantHost(self._contexts, self._arbiter.config)
+        #: the worker pool (process mode, between fork and sync)
+        self._pool: FleetWorkerPool | None = None
+        #: post-tick digests, the arbiter's view of every tenant
+        self._digests = self._fresh_digests()
         # incremental rollup: a one-time baseline walk here, then only
-        # per-bin dirty-counter drains — report() never re-walks the
-        # registries, it sums this latest-value cache instead
-        self._trackers: dict[str, DeltaTracker] = {
-            ctx.tenant: ctx.telemetry.registry.delta_tracker()
-            for ctx in self._contexts
-        }
+        # dirty-counter drains — report() never re-walks the registries,
+        # it sums this latest-value cache instead
         self._latest: dict[str, dict[str, float]] = {
             ctx.tenant: ctx.telemetry.registry.snapshot_counters()
             for ctx in self._contexts
         }
-        # process-mode machinery (inert in serial/thread modes)
-        self._pool = None
-        self._digests: dict[str, TenantDigest] = {}
         # fault-tolerance machinery: counters and events live in the
         # fleet's OWN registry/log, never in tenant ones — a checkpointed
         # run's tenant streams stay bit-identical to a plain run's
@@ -235,9 +247,16 @@ class FleetDriver:
         self._quarantines = self._fleet_registry.counter(
             FLEET_TENANT_QUARANTINES
         )
+        # incremented by the worker pool; created here so the fleet
+        # counters have the same names in every mode
+        self._fleet_registry.counter(WORKER_HARD_KILLS)
         if isinstance(chaos, FaultConfig):
             chaos = FaultInjector(chaos, registry=self._fleet_registry)
         self._chaos: FaultInjector | None = chaos
+        # the fleet counters roll up like the tenant ones: one baseline
+        # walk, then drains
+        self._fleet_tracker = self._fleet_registry.delta_tracker()
+        self._fleet_latest = self._fleet_registry.snapshot_counters()
         #: fleet bins whose chaos kill-or-not decision was already acted
         #: on — re-execution after a crash must not re-deliver the kill
         #: (the per-bin derived stream would name the same victim forever)
@@ -250,10 +269,6 @@ class FleetDriver:
         #: build_fleet kwargs when constructed through it (rides inside
         #: durable checkpoints so resume() can rebuild the layout)
         self._build_args: dict[str, object] | None = None
-
-    @property
-    def parallel_mode(self) -> str:
-        return self._mode
 
     @property
     def next_bin(self) -> int:
@@ -280,7 +295,8 @@ class FleetDriver:
     @property
     def fleet_counters(self) -> dict[str, float]:
         """Current values of the fleet-infrastructure counters."""
-        return self._fleet_registry.snapshot_counters()
+        self._fleet_latest.update(self._fleet_tracker.drain())
+        return dict(self._fleet_latest)
 
     @property
     def checkpoint_dir(self) -> Path | None:
@@ -319,15 +335,9 @@ class FleetDriver:
                 f"bin {index} is out of range (fleet has {self._n_bins})"
             )
         if self._mode == "process":
-            # begin_bin happens inside: crash recovery rolls the arbiter
-            # back to the bin boundary and must re-begin each re-run bin
-            records = self._run_bin_process(index)
-        elif self._mode == "thread":
-            self._arbiter.begin_bin()
-            records = self._run_bin_thread(index)
+            records = self._run_bin_supervised(index)
         else:
-            self._arbiter.begin_bin()
-            records = self._run_bin_serial(index)
+            records = self._run_bin_attempt(index, self._host)
         self._next_bin = index + 1
         if (
             self._checkpoint_dir is not None
@@ -337,35 +347,35 @@ class FleetDriver:
             self._checkpoint_periodic()
         return records
 
-    def _run_bin_serial(self, index: int) -> dict[str, BinRecord]:
+    def _run_bin_attempt(self, index: int, host) -> dict[str, BinRecord]:
+        """One attempt at one bin through the host protocol.
+
+        The canonical arbiter stays in this process: each tick gets a
+        frozen view, and the rulings and harvests the tick recorded are
+        applied back — in tick order — before the next tenant ticks, so
+        the arbiter state evolves exactly as if it had been consulted
+        live.
+        """
+        self._arbiter.begin_bin()
+        host.execute_all(index)
         records: dict[str, BinRecord] = {}
         for ctx in self._bin_order(index):
-            record = ctx.simulation.run_bin(index)
-            ctx.records.append(record)
-            records[ctx.tenant] = record
-        self._arbiter.replay_round()
-        self._drain_trackers()
+            result = host.tick(ctx.tenant, self._arbiter.view(self._digests))
+            for kind, payload in result.actions:
+                if kind == HARVEST:
+                    self._arbiter.ingest_harvest(payload)
+                else:
+                    self._arbiter.apply_ruling(payload)
+            self._digests[ctx.tenant] = result.digest
+            self._accumulate(ctx.tenant, result.counter_updates)
+            ctx.records.append(result.record)
+            records[ctx.tenant] = result.record
+        self._arbiter.replay_round(
+            HostReplayTransport(host, self._digests, self._accumulate)
+        )
         return records
 
-    def _run_bin_thread(self, index: int) -> dict[str, BinRecord]:
-        """Parallel execute phases, then the serial hot-first tick barrier."""
-        order = self._bin_order(index)
-        max_workers = min(self._workers or len(order), len(order))
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            pendings = {
-                ctx.tenant: pool.submit(ctx.simulation.execute_bin, index)
-                for ctx in order
-            }
-        records: dict[str, BinRecord] = {}
-        for ctx in order:
-            record = ctx.simulation.finish_bin(pendings[ctx.tenant].result())
-            ctx.records.append(record)
-            records[ctx.tenant] = record
-        self._arbiter.replay_round()
-        self._drain_trackers()
-        return records
-
-    def _run_bin_process(self, index: int) -> dict[str, BinRecord]:
+    def _run_bin_supervised(self, index: int) -> dict[str, BinRecord]:
         """Run bin ``index`` on the worker pool, surviving worker death.
 
         Crash recovery is transactional at bin granularity: every bin
@@ -379,65 +389,36 @@ class FleetDriver:
         events, and final configurations bit-identical to an undisturbed
         run.
         """
-        from repro.fleet.parallel import WorkerCrashed
-
         recoveries = 0
         while True:
             try:
                 pool = self._ensure_pool()
                 # catch-up after a rollback to an older restore point
                 while self._next_bin < index:
-                    self._arbiter.begin_bin()
-                    self._process_bin_attempt(self._next_bin, pool)
+                    self._supervised_attempt(self._next_bin, pool)
                     self._next_bin += 1
-                self._arbiter.begin_bin()
-                return self._process_bin_attempt(index, pool)
+                return self._supervised_attempt(index, pool)
             except WorkerCrashed as crash:
                 recoveries += 1
                 if recoveries > self._max_crash_recoveries:
                     raise
                 self._recover_from_crash(crash)
 
-    def _process_bin_attempt(
-        self, index: int, pool
+    def _supervised_attempt(
+        self, index: int, pool: FleetWorkerPool
     ) -> dict[str, BinRecord]:
-        """One attempt at one bin: the thread-mode barrier with ticks
-        RPC'd to fork workers.
+        """One bin on the pool, then a fresh restore point.
 
-        The canonical arbiter stays in this process: each tick ships a
-        frozen view out, and the worker's recorded rulings/harvests are
-        applied back — in tick order — before the next tenant ticks, so
-        the arbiter state evolves exactly as in the serial loop. The
-        attempt ends by refreshing the crash restore point from a live
-        worker snapshot.
+        The restore point is re-captured from a live worker snapshot and
+        stamped with the next bin (``run_bin`` has not advanced
+        ``next_bin`` yet), so a crash only ever rolls back the bin in
+        flight.
         """
-        from repro.fleet.parallel import HARVEST, PoolReplayTransport
-
         self._maybe_chaos_kill(index, pool)
-        pool.execute_all(index)
-        records: dict[str, BinRecord] = {}
-        for ctx in self._bin_order(index):
-            result = pool.tick(
-                ctx.tenant, self._arbiter.view(digests=self._digests)
-            )
-            for kind, payload in result.actions:
-                if kind == HARVEST:
-                    self._arbiter.ingest_harvest(payload)
-                else:
-                    self._arbiter.apply_ruling(payload)
-            self._digests[ctx.tenant] = result.digest
-            self._accumulate(ctx.tenant, result.counter_updates)
-            ctx.records.append(result.record)
-            records[ctx.tenant] = result.record
-        transport = PoolReplayTransport(
-            pool, self._digests, self._accumulate
+        records = self._run_bin_attempt(index, pool)
+        self._restore_point = replace(
+            self._capture_checkpoint(), next_bin=index + 1
         )
-        self._arbiter.set_transport(transport)
-        try:
-            self._arbiter.replay_round()
-        finally:
-            self._arbiter.set_transport(None)
-        self._refresh_restore_point(pool, index + 1)
         return records
 
     def _maybe_chaos_kill(self, index: int, pool) -> None:
@@ -485,7 +466,7 @@ class FleetDriver:
     # ------------------------------------------------------------------
     # process-mode pool lifecycle
 
-    def _ensure_pool(self):
+    def _ensure_pool(self) -> FleetWorkerPool:
         """Start (or return) the worker pool; parent state must be current.
 
         A fresh fork also captures the crash restore point *before*
@@ -494,15 +475,7 @@ class FleetDriver:
         the pool's life can roll back too.
         """
         if self._pool is None:
-            from repro.fleet.parallel import FleetWorkerPool
-
             self._restore_point = self._capture_checkpoint()
-            # digests seeded from the live contexts: at fork time the
-            # workers are exact copies, so cache and workers agree
-            self._digests = {
-                ctx.tenant: self._arbiter.digest(ctx)
-                for ctx in self._contexts
-            }
             self._pool = FleetWorkerPool(
                 self._contexts,
                 self._arbiter.config,
@@ -526,8 +499,6 @@ class FleetDriver:
         point (the last bin boundary — no bins are lost, sync happens at
         boundaries) and merge from the restored contexts instead.
         """
-        from repro.fleet.parallel import WorkerCrashed
-
         recoveries = 0
         while self._pool is not None:
             pool, self._pool = self._pool, None
@@ -543,23 +514,14 @@ class FleetDriver:
                 # sync ran at; the contexts already carry that state, so
                 # there is nothing left to merge
                 if self._next_bin == self._restore_point.next_bin:
-                    self._digests = {}
                     return
                 continue  # pragma: no cover - stale restore point
             try:
                 for tenant, moved, blob in collected:
                     self._accumulate(tenant, moved)
-                    ctx = self.tenant(tenant)
-                    ctx.absorb_transfer(blob)
-                    self._arbiter.rebind(ctx)
-                    # same registry object as before pickling on the
-                    # worker side, so the tracker keeps its baseline
-                    self._trackers[tenant] = (
-                        ctx.telemetry.registry.delta_tracker()
-                    )
+                    self.tenant(tenant).absorb_transfer(blob)
             finally:
                 pool.stop()
-            self._digests = {}
 
     # ------------------------------------------------------------------
     # fault tolerance: capture, durable checkpoints, restore, recovery
@@ -567,23 +529,16 @@ class FleetDriver:
     def _capture_checkpoint(self) -> FleetCheckpoint:
         """Bundle the fleet's current bin-boundary state.
 
-        With a live worker pool the tenant blobs come from a
-        non-destructive worker snapshot (the workers keep running);
-        otherwise each parent context pickles itself —
-        ``transfer_snapshot`` detaches the arbiter hooks for pickling,
-        so every context is rebound immediately after. Either way the
-        run continues bit-identically to one that never checkpointed.
+        The tenant blobs come from whichever host holds the live
+        contexts: the worker pool while one runs (the workers keep
+        running), the in-process host otherwise. Either way the run
+        continues bit-identically to one that never checkpointed.
         """
+        host = self._pool if self._pool is not None else self._host
         blob_map: dict[str, bytes] = {}
-        if self._pool is not None:
-            for tenant, moved, blob in self._pool.snapshot():
-                self._accumulate(tenant, moved)
-                blob_map[tenant] = blob
-        else:
-            self._drain_trackers()
-            for ctx in self._contexts:
-                blob_map[ctx.tenant] = ctx.transfer_snapshot()
-                self._arbiter.rebind(ctx)
+        for tenant, moved, blob in host.snapshot():
+            self._accumulate(tenant, moved)
+            blob_map[tenant] = blob
         tenants = [
             TenantState(
                 tenant=ctx.tenant,
@@ -604,19 +559,6 @@ class FleetDriver:
                 if self._build_args is not None
                 else None
             ),
-        )
-
-    def _refresh_restore_point(self, pool, next_bin: int) -> None:
-        """Re-capture the crash restore point from a live pool snapshot.
-
-        Runs at the end of every successful process-mode bin attempt,
-        *before* ``run_bin`` advances ``next_bin`` — hence the explicit
-        parameter. Bounded data loss: a crash ever only rolls back the
-        bin in flight.
-        """
-        del pool  # _capture_checkpoint snapshots via self._pool
-        self._restore_point = replace(
-            self._capture_checkpoint(), next_bin=next_bin
         )
 
     def checkpoint(self, directory: Path | str | None = None) -> Path:
@@ -852,16 +794,12 @@ class FleetDriver:
                         f"tenant {ctx.tenant} failed to restore: {failure}"
                     )
                 self._quarantine_tenant(ctx, failure)
-            self._arbiter.rebind(ctx)
             ctx.records[:] = list(state.records)
             # verbatim, not rebuilt: the cache's insertion order is part
             # of the rollup's float-sum identity
             self._latest[ctx.tenant] = dict(state.counters)
-            self._trackers[ctx.tenant] = (
-                ctx.telemetry.registry.delta_tracker()
-            )
         self._next_bin = ckpt.next_bin
-        self._digests = {}
+        self._digests = self._fresh_digests()
 
     def _quarantine_tenant(self, ctx: TenantContext, reason: str) -> None:
         """Degrade gracefully: exclude one unrestorable tenant.
@@ -938,13 +876,16 @@ class FleetDriver:
     # ------------------------------------------------------------------
     # incremental rollup plumbing
 
+    def _fresh_digests(self) -> dict[str, TenantDigest]:
+        """Digests computed from the contexts in this process."""
+        return {
+            ctx.tenant: compute_digest(ctx, self._arbiter.config)
+            for ctx in self._contexts
+        }
+
     def _accumulate(self, tenant: str, moved: dict[str, float]) -> None:
         """Overlay one drain (current values of moved counters)."""
         self._latest[tenant].update(moved)
-
-    def _drain_trackers(self) -> None:
-        for tenant, tracker in self._trackers.items():
-            self._accumulate(tenant, tracker.drain())
 
     def _rollup_counters(self) -> dict[str, float]:
         """Sum the latest-value cache — bit-equal to a registry walk.
@@ -977,7 +918,6 @@ class FleetDriver:
             )
         self._ckpt_join()  # the run is only "done" once durably written
         self.sync_workers()
-        self._drain_trackers()
         window = min(final_window_bins, self._next_bin)
         summaries: list[TenantSummary] = []
         for ctx in self._contexts:
@@ -1013,7 +953,7 @@ class FleetDriver:
             # equivalence with a full registry walk is held by
             # tests/fleet/test_stats.py
             counters=self._rollup_counters(),
-            fleet_counters=self._fleet_registry.snapshot_counters(),
+            fleet_counters=self.fleet_counters,
             arbitration=self._arbiter.summary(),
             replay_outcomes=self._arbiter.outcomes,
             final_window_bins=window,

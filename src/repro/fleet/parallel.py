@@ -1,37 +1,35 @@
-"""Fork-based worker pool for the parallel fleet driver.
+"""The fleet bin protocol and its two hosts.
 
-The fleet loop has exactly one phase that scales with cores: executing
-each tenant's queries for the bin. Everything arbiter-visible — KPI
-samples, predictor history, guard state — mutates only inside the
-plugin tick, so the :class:`~repro.fleet.driver.FleetDriver` can run all
-execute phases concurrently and then serialize the ticks at a
-commit-ordered barrier (hot-first, the same order as the serial loop)
-without changing a single decision. This module is the process-mode
-transport for that plan:
+A fleet bin runs one way, whatever the execution mode: ``execute_all``
+runs every tenant's queries for the bin, then one ``tick(tenant, view)``
+per tenant in hot-first order ticks the tenant's plugins against a
+frozen :class:`~repro.fleet.arbiter.ArbiterView`, then the arbiter's
+replay round validates priors through ``replay``. Everything
+arbiter-visible — KPI samples, predictor history, guard state — mutates
+only inside the tick, so the parent's canonical arbiter can rule on each
+tick from the view and apply the recorded rulings back in tick order.
 
-- :class:`FleetWorkerPool` forks workers that each own a subset of
-  tenant contexts (fork start method only: contexts hold sampler
-  closures that cannot pickle, so they must be inherited by memory
-  image). The parent broadcasts ``execute`` for a bin, then drives one
-  ``tick`` RPC per tenant in barrier order.
-- Inside a worker, :class:`TickRecorder` stands in for the fleet
-  arbiter: the parent ships a frozen
-  :class:`~repro.fleet.arbiter.ArbiterView` with each tick, the
-  recorder answers the organizer's admission hook from it via the same
-  pure :func:`~repro.fleet.arbiter.rule_admission` the serial arbiter
-  uses, and every ruling and harvested commit is recorded
-  chronologically for the parent to apply to the canonical arbiter.
-- Each tick reply carries a fresh
-  :class:`~repro.fleet.arbiter.TenantDigest` (the parent's digest cache
-  is how later admissions and replay gates see this tenant) plus the
-  current values of its moved counters for the incremental fleet
-  rollup.
-- Replay validation (:func:`~repro.fleet.arbiter.attempt_replay`) is an
-  RPC to the owning worker; the cheap digest-only gates run parent-side
-  against the cache.
-- ``sync`` pickles each context back
-  (:meth:`~repro.fleet.context.TenantContext.transfer_snapshot`) so the
-  parent's contexts end the run carrying the workers' state.
+- :class:`TenantHost` serves the protocol for tenant contexts living in
+  the current process. Serial fleets call it directly; inside each
+  tick, :class:`TickRecorder` stands in for the fleet arbiter: it
+  answers the organizer's admission hook from the shipped view via the
+  same pure :func:`~repro.fleet.arbiter.rule_admission` and records
+  every ruling and harvested commit chronologically.
+- :class:`FleetWorkerPool` forks workers that each serve a
+  :class:`TenantHost` over a round-robin slice of the tenants (fork
+  start method only: contexts hold sampler closures that cannot
+  pickle, so they must be inherited by memory image). The pool is
+  supervised: a dead or wedged worker surfaces as
+  :class:`WorkerCrashed`, and the fleet driver rolls back to its last
+  restore point.
+
+Each tick or replay reply carries a fresh
+:class:`~repro.fleet.arbiter.TenantDigest` (the parent's digest cache is
+how later admissions and replay gates see this tenant) plus the current
+values of its moved counters for the incremental fleet rollup.
+``snapshot`` pickles each context
+(:meth:`~repro.fleet.context.TenantContext.transfer_snapshot`) for
+restore points, checkpoints and the pool's final ``sync``.
 """
 
 from __future__ import annotations
@@ -90,7 +88,7 @@ class WorkerCrashed(RuntimeError):
 
 @dataclass
 class TickResult:
-    """Everything the parent needs from one tenant's tick."""
+    """Everything the fleet driver needs from one tenant's tick."""
 
     tenant: str
     record: BinRecord
@@ -101,14 +99,14 @@ class TickResult:
     actions: list[tuple[str, AdmissionRuling | HarvestRecord]] = field(
         default_factory=list
     )
-    #: current values of the counters that moved since the worker's
-    #: last drain (overlays the parent's incremental-rollup cache)
+    #: current values of the counters that moved since the tenant's
+    #: last drain (overlays the driver's incremental-rollup cache)
     counter_updates: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
 class ReplayResult:
-    """Reply to one replay-validation RPC."""
+    """Everything the fleet driver needs from one replay attempt."""
 
     outcome: ReplayOutcome | None
     #: the target's digest after the attempt (an applied replay changes
@@ -118,14 +116,14 @@ class ReplayResult:
 
 
 class TickRecorder:
-    """Worker-side stand-in for the fleet arbiter during one tick.
+    """Stand-in for the fleet arbiter during one tenant's tick.
 
-    Rules on admissions with :func:`rule_admission` over the view the
-    parent shipped, exactly as the serial arbiter would, and records
-    every ruling and harvest in call order. Mid-tick arbiter mutations
-    (a guard-escalation commit clears the tenant's defer count *before*
-    the admission check in the same tick) are mirrored onto the local
-    view copy so a later ruling in the same tick sees them.
+    Rules on admissions with :func:`rule_admission` over the tick's
+    view and records every ruling and harvest in call order.
+    Mid-tick arbiter mutations (a guard-escalation commit clears the
+    tenant's defer count *before* the admission check in the same tick)
+    are mirrored onto the local view copy so a later ruling in the same
+    tick sees them.
     """
 
     def __init__(self, ctx: TenantContext, config: FleetConfig) -> None:
@@ -135,8 +133,19 @@ class TickRecorder:
         self.actions: list[tuple[str, object]] = []
 
     def arm(self, view: ArbiterView) -> None:
+        """Take ``view`` for the coming tick and hook into the organizer.
+
+        Hooks are installed on every tick, not once: a snapshot or an
+        absorbed transfer leaves the organizer without hooks, and this
+        is the only place that puts them back.
+        """
         self._view = view
         self.actions = []
+        organizer = self._ctx.organizer
+        organizer.set_admission(
+            self.admission if self._config.arbitrate else None
+        )
+        organizer.set_commit_listener(self.commit)
 
     # the organizer's AdmissionHook signature
     def admission(self, organizer, decision) -> tuple[bool, str]:
@@ -165,89 +174,87 @@ class TickRecorder:
         self._view.defers.pop(self._ctx.tenant, None)
 
 
-def _worker_main(conn, contexts: list[TenantContext], config: FleetConfig):
-    """One worker: owns its contexts, answers the parent's RPCs."""
-    try:
-        tenants = {ctx.tenant: ctx for ctx in contexts}
-        recorders: dict[str, TickRecorder] = {}
-        trackers = {}
+class TenantHost:
+    """The fleet bin protocol over tenant contexts in this process.
+
+    A serial fleet drives one directly over all its contexts; a worker
+    of :class:`FleetWorkerPool` serves one over its slice. Counter
+    changes are drained from each context's registry tracker (which
+    travels with the registry through pickling), so the host holds no
+    per-context state that a snapshot or restore could leave stale.
+    """
+
+    def __init__(
+        self, contexts: list[TenantContext], config: FleetConfig
+    ) -> None:
+        self._config = config
+        self._contexts = {ctx.tenant: ctx for ctx in contexts}
+        self._recorders = {
+            ctx.tenant: TickRecorder(ctx, config) for ctx in contexts
+        }
+        self._pending: dict[str, PendingBin] = {}
         for ctx in contexts:
-            recorder = TickRecorder(ctx, config)
-            recorders[ctx.tenant] = recorder
-            # replace the inherited parent-arbiter hooks: decisions in
-            # this process come from the shipped views, nothing else
-            ctx.organizer.set_admission(
-                recorder.admission if config.arbitrate else None
-            )
-            ctx.organizer.set_commit_listener(recorder.commit)
-            trackers[ctx.tenant] = ctx.telemetry.registry.delta_tracker()
-        pending: dict[str, PendingBin] = {}
+            # open the tracker now, so every later move is drained
+            ctx.telemetry.registry.delta_tracker()
+
+    @staticmethod
+    def _drain(ctx: TenantContext) -> dict[str, float]:
+        return ctx.telemetry.registry.delta_tracker().drain()
+
+    def execute_all(self, bin_index: int) -> None:
+        """Run every hosted tenant's execute phase for ``bin_index``."""
+        for tenant, ctx in self._contexts.items():
+            self._pending[tenant] = ctx.simulation.execute_bin(bin_index)
+
+    def tick(self, tenant: str, view: ArbiterView) -> TickResult:
+        """Finish one tenant's bin, its admissions ruled from ``view``."""
+        ctx = self._contexts[tenant]
+        recorder = self._recorders[tenant]
+        recorder.arm(view)
+        record = ctx.simulation.finish_bin(self._pending.pop(tenant))
+        return TickResult(
+            tenant=tenant,
+            record=record,
+            digest=compute_digest(ctx, self._config),
+            actions=recorder.actions,
+            counter_updates=self._drain(ctx),
+        )
+
+    def replay(self, tenant: str, prior: TuningPrior) -> ReplayResult:
+        """Validate (and maybe apply) ``prior`` on one hosted tenant."""
+        ctx = self._contexts[tenant]
+        outcome = attempt_replay(ctx, prior, self._config)
+        return ReplayResult(
+            outcome=outcome,
+            digest=compute_digest(ctx, self._config),
+            counter_updates=self._drain(ctx),
+        )
+
+    def snapshot(self) -> list[tuple[str, dict[str, float], bytes]]:
+        """Drain and pickle every hosted tenant: (tenant, moved, blob)."""
+        return [
+            (tenant, self._drain(ctx), ctx.transfer_snapshot())
+            for tenant, ctx in self._contexts.items()
+        ]
+
+
+#: the :class:`TenantHost` methods a worker serves over its pipe
+_WORKER_COMMANDS = frozenset({"execute_all", "tick", "replay", "snapshot"})
+
+
+def _worker_main(conn, contexts: list[TenantContext], config: FleetConfig):
+    """One worker: serves a :class:`TenantHost` over its contexts."""
+    try:
+        host = TenantHost(contexts, config)
         while True:
-            msg = conn.recv()
-            cmd = msg[0]
-            if cmd == "execute":
-                for ctx in contexts:
-                    pending[ctx.tenant] = ctx.simulation.execute_bin(msg[1])
-                conn.send(("ok",))
-            elif cmd == "tick":
-                _, tenant, view = msg
-                ctx = tenants[tenant]
-                recorder = recorders[tenant]
-                recorder.arm(view)
-                record = ctx.simulation.finish_bin(pending.pop(tenant))
-                conn.send(
-                    (
-                        "ok",
-                        TickResult(
-                            tenant=tenant,
-                            record=record,
-                            digest=compute_digest(ctx, config),
-                            actions=recorder.actions,
-                            counter_updates=trackers[tenant].drain(),
-                        ),
-                    )
-                )
-            elif cmd == "replay":
-                _, tenant, prior = msg
-                ctx = tenants[tenant]
-                outcome = attempt_replay(ctx, prior, config)
-                conn.send(
-                    (
-                        "ok",
-                        ReplayResult(
-                            outcome=outcome,
-                            digest=compute_digest(ctx, config),
-                            counter_updates=trackers[tenant].drain(),
-                        ),
-                    )
-                )
-            elif cmd in ("sync", "snapshot"):
-                blobs = [
-                    (
-                        ctx.tenant,
-                        trackers[ctx.tenant].drain(),
-                        ctx.transfer_snapshot(),
-                    )
-                    for ctx in contexts
-                ]
-                if cmd == "snapshot":
-                    # transfer_snapshot detached the organizer hooks for
-                    # pickling; a snapshotting worker keeps running, so
-                    # re-arm the recorders or every later tick in this
-                    # process would run un-arbitrated
-                    for ctx in contexts:
-                        recorder = recorders[ctx.tenant]
-                        ctx.organizer.set_admission(
-                            recorder.admission if config.arbitrate else None
-                        )
-                        ctx.organizer.set_commit_listener(recorder.commit)
-                conn.send(("ok", blobs))
-            elif cmd == "stop":
+            cmd, *args = conn.recv()
+            if cmd == "stop":
                 conn.send(("ok",))
                 return
-            else:  # pragma: no cover - protocol guard
+            if cmd not in _WORKER_COMMANDS:  # pragma: no cover - guard
                 conn.send(("error", f"unknown command {cmd!r}"))
                 return
+            conn.send(("ok", getattr(host, cmd)(*args)))
     except BaseException:
         try:
             conn.send(("error", traceback.format_exc()))
@@ -256,7 +263,8 @@ def _worker_main(conn, contexts: list[TenantContext], config: FleetConfig):
 
 
 class FleetWorkerPool:
-    """Forked workers, each owning a round-robin slice of the tenants.
+    """Forked workers, each serving a :class:`TenantHost` over a
+    round-robin slice of the tenants.
 
     The pool is **supervised**: every parent-side wait on a worker is a
     poll-with-timeout loop interleaved with ``is_alive()`` checks, so a
@@ -283,7 +291,7 @@ class FleetWorkerPool:
             raise RuntimeError(
                 "parallel='process' needs the fork start method (tenant "
                 "workloads hold closures that cannot pickle); use "
-                "parallel='thread' on this platform"
+                "parallel='serial' on this platform"
             ) from exc
         if rpc_timeout_s <= 0:
             raise ValueError("rpc_timeout_s must be positive")
@@ -397,7 +405,7 @@ class FleetWorkerPool:
     def execute_all(self, bin_index: int) -> None:
         """Run every tenant's execute phase for ``bin_index``, in parallel."""
         for worker in range(len(self._conns)):
-            self._send(worker, ("execute", bin_index))
+            self._send(worker, ("execute_all", bin_index))
         for worker in range(len(self._conns)):
             self._recv(worker)
 
@@ -414,24 +422,22 @@ class FleetWorkerPool:
         return self._recv(worker)
 
     def sync(self) -> list[tuple[str, dict[str, float], bytes]]:
-        """Drain and snapshot every tenant: (tenant, moved, pickle)."""
-        return self._collect_snapshots("sync")
+        """Drain and snapshot every tenant before the pool is stopped:
+        (tenant, moved, pickle)."""
+        return self._collect_snapshots()
 
     def snapshot(self) -> list[tuple[str, dict[str, float], bytes]]:
-        """Like :meth:`sync`, but the workers keep running.
+        """Like :meth:`sync`, but the pool stays usable for the next bin.
 
-        The workers re-arm their recorder hooks after pickling, so the
-        pool stays usable for the next bin — this is how the driver
-        refreshes its crash restore point (and writes periodic durable
-        checkpoints) without tearing the pool down every interval.
+        This is how the driver refreshes its crash restore point (and
+        writes periodic durable checkpoints) without tearing the pool
+        down every interval.
         """
-        return self._collect_snapshots("snapshot")
+        return self._collect_snapshots()
 
-    def _collect_snapshots(
-        self, cmd: str
-    ) -> list[tuple[str, dict[str, float], bytes]]:
+    def _collect_snapshots(self) -> list[tuple[str, dict[str, float], bytes]]:
         for worker in range(len(self._conns)):
-            self._send(worker, (cmd,))
+            self._send(worker, ("snapshot",))
         collected: list[tuple[str, dict[str, float], bytes]] = []
         for worker in range(len(self._conns)):
             collected.extend(self._recv(worker))
@@ -522,18 +528,18 @@ class FleetWorkerPool:
         self._procs = []
 
 
-class PoolReplayTransport:
-    """Replay transport over a worker pool plus the parent digest cache.
+class HostReplayTransport:
+    """Replay transport over a bin-protocol host plus the digest cache.
 
     Digest-only gates read the cache (every entry is post-tick fresh);
-    the expensive validate-then-apply attempt is an RPC to the tenant's
-    owning worker, whose reply refreshes the cache — so a replay applied
-    earlier in the round is visible to every later cap check and gate,
-    exactly as in the serial round.
+    the expensive validate-then-apply attempt goes to the host (an RPC
+    to the owning worker in process mode), whose reply refreshes the
+    cache — so a replay applied earlier in the round is visible to every
+    later cap check and gate.
     """
 
-    def __init__(self, pool, digests, on_updates) -> None:
-        self._pool = pool
+    def __init__(self, host, digests, on_updates) -> None:
+        self._host = host
         self._digests = digests
         #: callback(tenant, moved-counter values) into the parent's
         #: incremental rollup cache
@@ -546,7 +552,7 @@ class PoolReplayTransport:
         return self._digests[tenant]
 
     def attempt(self, prior: TuningPrior, tenant: str) -> ReplayOutcome | None:
-        result = self._pool.replay(tenant, prior)
+        result = self._host.replay(tenant, prior)
         self._digests[tenant] = result.digest
         self._on_updates(tenant, result.counter_updates)
         return result.outcome

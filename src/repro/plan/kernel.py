@@ -78,10 +78,6 @@ class PlanKernel:
     #: frozen dataclass by design — it holds memoised derivations only
     cache: dict = field(default_factory=dict, compare=False, repr=False)
 
-    @property
-    def all_pruned(self) -> bool:
-        return not self.live
-
     def fixed_units_array(self) -> np.ndarray:
         """:attr:`fixed_scan_tuple` as a float64 array (lazy, memoised) —
         the base the mixed-tier pricing pass copies and fills."""

@@ -4,12 +4,27 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core.triggers import TriggerDecision
-from repro.fleet.arbiter import FleetConfig, FleetOrganizer
+from repro.fleet.arbiter import (
+    FleetConfig,
+    FleetOrganizer,
+    compute_digest,
+    rule_admission,
+)
 
 
-def _decision(trigger="periodic"):
-    return TriggerDecision(should_tune=True, trigger=trigger, reason="test")
+def admit(arbiter, ctx, trigger="periodic"):
+    """One admission as a fleet tick makes it: rule from a frozen view of
+    the arbiter (every registered tenant's digest), apply the ruling."""
+    config = arbiter.config
+    view = arbiter.view(
+        {
+            tenant: compute_digest(other, config)
+            for tenant, other in arbiter._tenants.items()
+        }
+    )
+    ruling = rule_admission(view, compute_digest(ctx, config), trigger)
+    arbiter.apply_ruling(ruling)
+    return ruling.admitted, ruling.reason
 
 
 def _fake_context(
@@ -32,8 +47,6 @@ def _fake_context(
         organizer=SimpleNamespace(
             guard=SimpleNamespace(active_commit=active_commit),
             last_tuning_ms=None,
-            set_admission=lambda hook: None,
-            set_commit_listener=lambda hook: None,
         ),
         monitor=SimpleNamespace(mean=lambda metric, last_n=None: hotness),
         predictor=SimpleNamespace(
@@ -46,7 +59,7 @@ def test_admits_when_nothing_competes():
     arbiter = FleetOrganizer()
     ctx = _fake_context("t0")
     arbiter.register(ctx)
-    admitted, reason = arbiter._admit(ctx, _decision())
+    admitted, reason = admit(arbiter, ctx)
     assert admitted
     assert reason == "admitted"
 
@@ -57,7 +70,7 @@ def test_sla_violations_bypass_all_arbitration():
     )
     ctx = _fake_context("t0")
     arbiter.register(ctx)
-    admitted, reason = arbiter._admit(ctx, _decision("sla_violation"))
+    admitted, reason = admit(arbiter, ctx, "sla_violation")
     assert admitted
     assert "urgent" in reason
 
@@ -66,13 +79,13 @@ def test_fleet_cooldown_defers_repeat_admissions():
     arbiter = FleetOrganizer(FleetConfig(tenant_cooldown_ms=10_000.0))
     ctx = _fake_context("t0", now_ms=0.0, hotness=10.0, mix={"q": 1.0})
     arbiter.register(ctx)
-    assert arbiter._admit(ctx, _decision())[0]
+    assert admit(arbiter, ctx)[0]
     ctx.database.clock.now_ms = 5_000.0
-    admitted, reason = arbiter._admit(ctx, _decision())
+    admitted, reason = admit(arbiter, ctx)
     assert not admitted
     assert "cooldown" in reason
     ctx.database.clock.now_ms = 10_000.0
-    assert arbiter._admit(ctx, _decision())[0]
+    assert admit(arbiter, ctx)[0]
 
 
 def test_concurrent_reconfiguration_cap_counts_other_tenants():
@@ -83,7 +96,7 @@ def test_concurrent_reconfiguration_cap_counts_other_tenants():
     candidate = _fake_context("t1", mix={"other": 1.0})
     arbiter.register(busy)
     arbiter.register(candidate)
-    admitted, reason = arbiter._admit(candidate, _decision())
+    admitted, reason = admit(arbiter, candidate)
     assert not admitted
     assert "cap" in reason
 
@@ -94,7 +107,7 @@ def test_cap_never_counts_the_candidate_itself():
     arbiter = FleetOrganizer(FleetConfig(max_concurrent_reconfigurations=1))
     ctx = _fake_context("t0", active_commit=object())
     arbiter.register(ctx)
-    assert arbiter._admit(ctx, _decision())[0]
+    assert admit(arbiter, ctx)[0]
 
 
 def test_cold_lookalike_defers_to_the_hotter_tenant():
@@ -103,12 +116,12 @@ def test_cold_lookalike_defers_to_the_hotter_tenant():
     cold = _fake_context("t1", hotness=10.0)
     arbiter.register(hot)
     arbiter.register(cold)
-    admitted, reason = arbiter._admit(cold, _decision())
+    admitted, reason = admit(arbiter, cold)
     assert not admitted
     assert "t0" in reason
     # the starvation bound: after max_defer_bins denials it tunes anyway
-    assert not arbiter._admit(cold, _decision())[0]
-    assert arbiter._admit(cold, _decision())[0]
+    assert not admit(arbiter, cold)[0]
+    assert admit(arbiter, cold)[0]
 
 
 def test_hot_tenant_is_not_deferred():
@@ -117,7 +130,7 @@ def test_hot_tenant_is_not_deferred():
     cold = _fake_context("t1", hotness=10.0)
     arbiter.register(hot)
     arbiter.register(cold)
-    assert arbiter._admit(hot, _decision())[0]
+    assert admit(arbiter, hot)[0]
 
 
 def test_different_mixes_are_not_lookalikes():
@@ -127,7 +140,7 @@ def test_different_mixes_are_not_lookalikes():
     arbiter.register(hot)
     arbiter.register(cold)
     # disjoint mixes (total variation 1.0): no cluster, no deferral
-    assert arbiter._admit(cold, _decision())[0]
+    assert admit(arbiter, cold)[0]
 
 
 def test_register_rejects_duplicate_tenants():
@@ -159,11 +172,11 @@ def test_sla_admission_clears_pending_defers():
     cold = _fake_context("t1", hotness=10.0)
     arbiter.register(hot)
     arbiter.register(cold)
-    assert not arbiter._admit(cold, _decision())[0]
-    assert not arbiter._admit(cold, _decision())[0]
+    assert not admit(arbiter, cold)[0]
+    assert not admit(arbiter, cold)[0]
     assert arbiter._defers["t1"] == 2
     # an SLA breach admits unconditionally — and resets the tally
-    assert arbiter._admit(cold, _decision("sla_violation"))[0]
+    assert admit(arbiter, cold, "sla_violation")[0]
     assert "t1" not in arbiter._defers
 
 
@@ -177,7 +190,7 @@ def test_harvested_commit_clears_pending_defers():
     cold = _fake_context("t1", hotness=10.0)
     arbiter.register(hot)
     arbiter.register(cold)
-    assert not arbiter._admit(cold, _decision())[0]
+    assert not admit(arbiter, cold)[0]
     assert arbiter._defers["t1"] == 1
     arbiter.ingest_harvest(
         HarvestRecord(
@@ -209,7 +222,7 @@ def test_applied_replay_clears_pending_defers():
     cold = _fake_context("t1", hotness=10.0)
     arbiter.register(hot)
     arbiter.register(cold)
-    assert not arbiter._admit(cold, _decision())[0]
+    assert not admit(arbiter, cold)[0]
     assert arbiter._defers["t1"] == 1
     arbiter._priors.append(
         TuningPrior(
@@ -246,8 +259,7 @@ def test_applied_replay_clears_pending_defers():
                 applied=True, reason="applied",
             )
 
-    arbiter.set_transport(_AppliedTransport())
-    outcomes = arbiter.replay_round()
+    outcomes = arbiter.replay_round(_AppliedTransport())
     assert [o.applied for o in outcomes] == [True]
     assert arbiter.replays("t1") == 1
     assert "t1" not in arbiter._defers

@@ -1,7 +1,7 @@
-"""Golden tests: parallel fleet modes are bit-identical to the serial loop.
+"""Golden tests: process mode is bit-identical to the serial loop.
 
-The concurrent driver's claim is strong — thread and process modes must
-produce exactly the serial run: same bin records, same per-tenant event
+The concurrent driver's claim is strong — process mode must produce
+exactly the serial run: same bin records, same per-tenant event
 streams (arbiter reason strings included), same final physical
 configurations, same rollup counters, same arbitration totals. These
 tests hold that on multiple seeds, plus the mid-run sync/resume path of
@@ -62,7 +62,7 @@ def _run(mode, seed, **kwargs):
 
 @pytest.fixture(scope="module")
 def serial_fingerprints():
-    """Serial-arm fingerprints, computed once per seed for both modes."""
+    """Serial-arm fingerprints, computed once per seed."""
     cache = {}
 
     def get(seed):
@@ -71,11 +71,6 @@ def serial_fingerprints():
         return cache[seed]
 
     return get
-
-
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_thread_mode_is_bit_identical(serial_fingerprints, seed):
-    assert _fingerprint(*_run("thread", seed)) == serial_fingerprints(seed)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -37,13 +37,10 @@ def _built(seed):
 def test_snapshot_absorb_snapshot_is_a_fixed_point(seed):
     fleet = _built(seed)
     ctx = fleet.tenants[0]
-    arbiter = fleet.arbiter
 
     def round_trip():
         blob = ctx.transfer_snapshot()
-        arbiter.rebind(ctx)  # snapshot detaches the arbiter hooks
         ctx.absorb_transfer(blob)
-        arbiter.rebind(ctx)
         return blob
 
     round_trip()  # first absorb canonicalises the pickle layout
@@ -62,17 +59,13 @@ def test_absorbed_context_continues_bit_identically(seed):
     control = _built(seed)
     pickled = _built(seed)
     for ctx in pickled.tenants:
-        blob = ctx.transfer_snapshot()
-        pickled.arbiter.rebind(ctx)
-        ctx.absorb_transfer(blob)
-        pickled.arbiter.rebind(ctx)
+        ctx.absorb_transfer(ctx.transfer_snapshot())
 
     control.run()
     pickled.run()
-    # compare the tenants' own registries/logs directly: the manual
-    # round trip above bypasses the driver's tracker rebinding (the
-    # driver-integrated path is covered by test_checkpoint), and the
-    # property under test is the context round trip itself
+    # compare the tenants' own registries/logs directly: the property
+    # under test is the context round trip itself (the driver-integrated
+    # path is covered by test_checkpoint)
     for a, b in zip(control.tenants, pickled.tenants):
         assert list(a.records) == list(b.records)
         assert (

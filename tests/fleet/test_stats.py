@@ -1,5 +1,7 @@
 """Tests for per-tenant cache stats, explicit aggregation, and rollups."""
 
+import pytest
+
 from repro.cost.what_if import WhatIfCacheStats
 from repro.fleet import build_fleet
 from repro.plan.cache import PlanCacheStats
@@ -118,3 +120,28 @@ def test_incremental_rollup_stays_exact_across_partial_reports():
     assert partial.counters == rollup_counters(registries)
     final = fleet.run()  # resumes; the accumulator keeps counting
     assert final.counters == rollup_counters(registries)
+
+
+@pytest.mark.parametrize("mode", ["serial", "process"])
+def test_report_makes_no_registry_walks(monkeypatch, tmp_path, mode):
+    """report() assembles tenant and fleet counters from drains alone,
+    and the fleet counters still equal a full walk of their registry."""
+    fleet = build_fleet(
+        2, seed=5, bins=BINS, rows=ROWS, parallel=mode, workers=1,
+        checkpoint_dir=tmp_path, checkpoint_every=2,
+    )
+    for index in range(BINS):
+        fleet.run_bin(index)
+    walked = []
+    original = MetricRegistry.snapshot_counters
+
+    def counting(registry):
+        walked.append(registry)
+        return original(registry)
+
+    monkeypatch.setattr(MetricRegistry, "snapshot_counters", counting)
+    report = fleet.report()
+    monkeypatch.undo()
+    assert walked == []
+    assert report.fleet_counters["checkpoint_writes"] == BINS // 2
+    assert report.fleet_counters == fleet._fleet_registry.snapshot_counters()

@@ -9,7 +9,7 @@ from repro.configuration.constraints import (
 )
 from repro.core.events import EventKind
 from repro.core.organizer import Organizer, OrganizerConfig
-from repro.core.triggers import NeverTrigger, PeriodicTrigger, TriggerDecision
+from repro.core.triggers import NeverTrigger, PeriodicTrigger
 from repro.fleet.arbiter import FleetConfig, FleetOrganizer
 from repro.forecasting.analyzer import WorkloadAnalyzer
 from repro.forecasting.models import NaiveLastValue
@@ -25,6 +25,7 @@ from repro.policy.engine import POLICY_TRIGGER
 from repro.tuning.features import CompressionFeature, IndexSelectionFeature
 from repro.tuning.tuner import Tuner
 from repro.util.units import MIB
+from tests.fleet.test_arbiter import admit
 
 
 def _prepare(retail_suite, bins=5, per_bin=25):
@@ -175,10 +176,6 @@ def test_forecast_miss_replans_under_policy(retail_suite):
 # fleet arbitration (fakes, as in tests/fleet/test_arbiter.py)
 
 
-def _decision(trigger):
-    return TriggerDecision(should_tune=True, trigger=trigger, reason="test")
-
-
 def _fake_context(tenant, active_commit=None):
     def recent_scenario(window_bins, horizon_bins):
         return SimpleNamespace(frequencies={"q1": 8.0, "q2": 2.0})
@@ -189,8 +186,6 @@ def _fake_context(tenant, active_commit=None):
         organizer=SimpleNamespace(
             guard=SimpleNamespace(active_commit=active_commit),
             last_tuning_ms=None,
-            set_admission=lambda hook: None,
-            set_commit_listener=lambda hook: None,
         ),
         monitor=SimpleNamespace(mean=lambda metric, last_n=None: 10.0),
         predictor=SimpleNamespace(
@@ -209,10 +204,10 @@ def test_policy_passes_are_arbitrated_not_urgent():
     other = _fake_context("t1", active_commit=object())
     arbiter.register(ctx)
     arbiter.register(other)
-    admitted, reason = arbiter._admit(ctx, _decision(POLICY_TRIGGER))
+    admitted, reason = admit(arbiter, ctx, POLICY_TRIGGER)
     assert not admitted
     assert "cap" in reason
-    admitted, reason = arbiter._admit(ctx, _decision("sla_violation"))
+    admitted, reason = admit(arbiter, ctx, "sla_violation")
     assert admitted
     assert "urgent" in reason
 
@@ -221,6 +216,6 @@ def test_policy_passes_admitted_when_nothing_competes():
     arbiter = FleetOrganizer()
     ctx = _fake_context("t0")
     arbiter.register(ctx)
-    admitted, reason = arbiter._admit(ctx, _decision(POLICY_TRIGGER))
+    admitted, reason = admit(arbiter, ctx, POLICY_TRIGGER)
     assert admitted
     assert reason == "admitted"
