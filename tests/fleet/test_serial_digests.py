@@ -8,23 +8,16 @@ digests recorded before the fleet bin loop was unified, so any change
 to the fleet's host protocol is checked against the old loop's output
 rather than against itself.
 
-The fingerprint is canonicalized before hashing — dict keys and set
-members are sorted by their canonical JSON, floats are written with
-``repr`` (exact round trip), enums by name — so the digests do not
-depend on ``PYTHONHASHSEED``.
+The fingerprint is canonicalized before hashing (``tests/digest.py``),
+so the digests do not depend on ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import enum
-import hashlib
-import json
-
-import numpy as np
 import pytest
 
 from repro.fleet import build_fleet
+from tests.digest import digest
 from tests.fleet.test_parallel import BINS, ROWS, TENANTS, _fingerprint
 
 #: seed -> digest of the 3-tenant x 8-bin serial fleet (test_parallel's)
@@ -44,42 +37,8 @@ E18_QUICK_DIGEST = (
 )
 
 
-def _canonical(value):
-    """A JSON-ready form of ``value`` that is independent of hash order."""
-    if isinstance(value, enum.Enum):
-        return ["enum", type(value).__name__, value.name]
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return [
-            type(value).__name__,
-            [
-                [f.name, _canonical(getattr(value, f.name))]
-                for f in dataclasses.fields(value)
-                if f.compare
-            ],
-        ]
-    if isinstance(value, dict):
-        items = [[_canonical(k), _canonical(v)] for k, v in value.items()]
-        return ["dict", sorted(items, key=_dumps)]
-    if isinstance(value, (set, frozenset)):
-        return ["set", sorted((_canonical(v) for v in value), key=_dumps)]
-    if isinstance(value, (list, tuple)):
-        return [_canonical(v) for v in value]
-    if isinstance(value, np.generic):
-        return _canonical(value.item())
-    if isinstance(value, float):
-        return ["float", repr(value)]
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    raise TypeError(f"no canonical form for {type(value).__name__}")
-
-
-def _dumps(value) -> str:
-    return json.dumps(value, separators=(",", ":"))
-
-
 def fingerprint_digest(fleet, report) -> str:
-    canonical = _canonical(_fingerprint(fleet, report))
-    return hashlib.sha256(_dumps(canonical).encode()).hexdigest()
+    return digest(_fingerprint(fleet, report))
 
 
 @pytest.mark.parametrize("seed", sorted(SMALL_FLEET_DIGESTS))
