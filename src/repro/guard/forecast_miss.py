@@ -15,6 +15,7 @@ trigger.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -38,8 +39,9 @@ def total_variation(
         return 0.0
     if p_total <= 0 or q_total <= 0:
         return 1.0
+    # fsum: exactly rounded whatever the (hash-seeded) set order is
     keys = set(p) | set(q)
-    return 0.5 * sum(
+    return 0.5 * math.fsum(
         abs(
             max(0.0, p.get(key, 0.0)) / p_total
             - max(0.0, q.get(key, 0.0)) / q_total
