@@ -65,6 +65,7 @@ from repro.tuning.tuner import Tuner
 if TYPE_CHECKING:
     from repro.configuration.actions import Action
     from repro.forecasting.scenarios import Forecast
+    from repro.tuning.tuner import TuningResult
 
 #: Fleet-arbiter admission hook: called with the firing trigger decision
 #: before a pass runs; returns ``(admitted, reason)``. A denial logs a
@@ -156,13 +157,13 @@ class Organizer:
         self._tracer = self._telemetry.tracer
         self._monitor = monitor if monitor is not None else RuntimeKPIMonitor(db)
         # explicit None checks: EventLog and the instance storage define
-        # __len__, so freshly created (empty) ones are falsy
+        # __len__, so freshly created (empty) ones are falsy, and an
+        # explicit empty trigger list means "no triggers"
         self._store = store if store is not None else ConfigurationInstanceStorage()
         self._events = events if events is not None else EventLog()
-        self._triggers = triggers or [
-            SlaViolationTrigger(),
-            ForecastDriftTrigger(),
-        ]
+        if triggers is None:
+            triggers = [SlaViolationTrigger(), ForecastDriftTrigger()]
+        self._triggers = triggers
         self._config = config or OrganizerConfig()
         self._optimizer = optimizer or WhatIfOptimizer(db)
         # surface the shared optimizer's cache counters both through the
@@ -382,9 +383,17 @@ class Organizer:
                     **decision.details,
                 )
                 return None
+        return self._tune(decision)
+
+    def _tune(self, decision: TriggerDecision) -> OrganizerRunReport | None:
+        """The one policy-or-reactive choice for an autonomous pass."""
         if self._policy is not None:
             return self.run_policy_pass(decision)
         return self.run_tuning(decision)
+
+    def _recovery_executor(self) -> TuningExecutor:
+        """The executor rollbacks and replays run through."""
+        return self._executor or SequentialExecutor(telemetry=self._telemetry)
 
     # ------------------------------------------------------------------
     # the guarded-commit hook (driven every driver tick)
@@ -414,10 +423,7 @@ class Organizer:
         self, commit: ProbationCommit, verdict: RegressionVerdict
     ) -> ApplicationReport:
         """Undo a probation commit through the executor recovery path."""
-        executor = self._executor or SequentialExecutor(
-            telemetry=self._telemetry
-        )
-        report = executor.rollback(
+        report = self._recovery_executor().rollback(
             self._db,
             list(commit.inverse_actions),
             (commit.saved_epoch, commit.saved_pool),
@@ -443,14 +449,10 @@ class Organizer:
             if feature in offenders and not opened:
                 opened = self._quarantine.open(feature, now)
             if opened:
-                self._events.log(
-                    now,
-                    EventKind.QUARANTINE,
+                self._log_quarantine(
+                    now, feature, "opened",
                     f"feature {feature!r} quarantined after its commits "
                     "kept regressing runtime KPIs",
-                    feature=feature,
-                    state="opened",
-                    probation_ms=self._config.quarantine_probation_ms,
                 )
         return report
 
@@ -483,135 +485,189 @@ class Organizer:
                 distance=verdict.distance,
                 nearest_scenario=verdict.nearest_scenario,
             )
-            return self.run_policy_pass(decision)
-        return self.run_tuning(decision)
+        return self._tune(decision)
 
-    def _feature_subset(self, order: tuple[str, ...]) -> tuple[str, ...]:
-        budget = self._config.tuning_time_budget_ms
-        if budget is None or self._last_matrix is None:
-            return order
-        allowed = set(
-            top_features_by_impact_per_cost(self._last_matrix, budget)
+    # ------------------------------------------------------------------
+    # the pass pipeline: begin -> propose -> execute -> commit
+
+    def run_tuning(
+        self, decision: TriggerDecision | None = None
+    ) -> OrganizerRunReport | None:
+        """Run one full trigger-reactive tuning pass (also callable
+        manually).
+
+        Returns ``None`` when the tuning-time budget admits no feature:
+        a zero-feature pass would do no work, so it must not append a
+        configuration record, restart the cooldown, or count against the
+        order-refresh cadence.
+        """
+        decision = decision or TriggerDecision(True, "manual", "manual request")
+        return self._run_pass(decision, "reactive", self._select_features)
+
+    def run_policy_pass(
+        self, decision: TriggerDecision | None = None
+    ) -> OrganizerRunReport | None:
+        """Run one goal-driven pass: plan-propose, plan-evaluate,
+        plan-execute.
+
+        The LP ordering, the tuning-time budget, and the quarantine
+        breaker gate the candidate features exactly as in the reactive
+        path; the difference is that every admitted feature first
+        *proposes* (applying nothing), the proposed plan prefixes are
+        priced against the declared objectives with the batched what-if
+        oracle, and only the chosen alternative is executed — under
+        guard probation like any other pass.
+        """
+        if self._policy is None:
+            return self.run_tuning(decision)
+        decision = decision or TriggerDecision(
+            True, POLICY_TRIGGER, "manual policy pass"
         )
-        return tuple(name for name in order if name in allowed)
+        return self._run_pass(decision, "policy", self._propose_plan)
 
-    def _admit_features(
-        self, subset: tuple[str, ...]
-    ) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        """Filter ``subset`` through the quarantine breaker.
+    def replay_pass(
+        self,
+        actions: Sequence["Action"],
+        *,
+        features: tuple[str, ...] = (),
+        source: str = "",
+        predicted_benefit_ms: float = 0.0,
+        cost_before_ms: float = 0.0,
+        cost_after_ms: float = 0.0,
+        forecast: "Forecast | None" = None,
+    ) -> ApplicationReport | None:
+        """Apply a committed pass harvested from a look-alike tenant.
 
-        Returns ``(admitted, quarantined)`` and logs a QUARANTINE event
-        for every blocked feature and every probation re-admission."""
-        now = self._db.clock.now_ms
-        admitted: list[str] = []
-        quarantined: list[str] = []
-        for name in subset:
-            admission = self._quarantine.admit(name, now)
-            if admission is Admission.QUARANTINED:
-                quarantined.append(name)
-                self._events.log(
-                    now,
-                    EventKind.QUARANTINE,
-                    f"feature {name!r} quarantined for another "
-                    f"{self._quarantine.remaining_ms(name, now):.0f} ms",
-                    feature=name,
-                    state="quarantined",
-                    remaining_ms=self._quarantine.remaining_ms(name, now),
-                )
-                continue
-            if admission is Admission.PROBATION:
-                self._events.log(
-                    now,
-                    EventKind.QUARANTINE,
-                    f"feature {name!r} re-admitted on probation",
-                    feature=name,
-                    state="probation",
-                )
-            admitted.append(name)
-        return tuple(admitted), tuple(quarantined)
+        The cheap path of fleet tuning: instead of enumerating and
+        assessing candidates, the forward ``actions`` of a pass another
+        tenant already committed are applied through the failure-aware
+        executor, recorded in the configuration store, and put on guard
+        probation exactly like a locally tuned pass — the regression
+        watchdog treats replayed and tuned commits identically. Callers
+        (the fleet arbiter) are expected to have what-if validated the
+        delta first; ``cost_before_ms``/``cost_after_ms`` carry that
+        validation's pricing into the record. ``forecast`` — typically
+        the cluster-level forecast the prior was validated against — is
+        noted with the guard so forecast-miss escalation covers replayed
+        tenants too. Counts as a tuning for cooldown/trigger purposes;
+        does not re-fire the commit listener (no priors from replays).
+        """
+        if not actions:
+            return None
+        decision = TriggerDecision(
+            True,
+            FLEET_REPLAY_TRIGGER,
+            f"committed pass from {source or 'prior'} ({len(actions)} actions)",
+            {"source": source, "actions": len(actions)},
+        )
+        proposal = _Proposal(
+            features,
+            actions=tuple(actions),
+            predicted_benefit_ms=predicted_benefit_ms,
+            cost_before_ms=cost_before_ms,
+            cost_after_ms=cost_after_ms,
+        )
+        return self._run_pass(decision, "replay", lambda *_: proposal, forecast)
 
-    def _record_run_outcomes(self, report: RecursiveTuningReport) -> None:
-        """Feed per-feature application outcomes into the breaker and
-        emit FAULT/ROLLBACK/QUARANTINE events for failed runs."""
-        now = self._db.clock.now_ms
-        for run in report.runs:
-            if not run.failed:
-                if self._quarantine.record_success(run.feature):
-                    self._events.log(
-                        now,
-                        EventKind.QUARANTINE,
-                        f"feature {run.feature!r} recovered: "
-                        "quarantine closed after probation success",
-                        feature=run.feature,
-                        state="closed",
-                    )
-                continue
-            self._events.log(
-                now,
-                EventKind.FAULT,
-                f"feature {run.feature!r} application failed: {run.failure}",
-                feature=run.feature,
-                action=run.report.failed_action,
-                retries=run.report.retries,
-            )
-            self._events.log(
-                now,
-                EventKind.ROLLBACK,
-                f"rolled back {run.report.rollback_actions} actions of "
-                f"feature {run.feature!r}",
-                feature=run.feature,
-                actions=run.report.rollback_actions,
-                work_ms=run.report.rollback_work_ms,
-            )
-            if self._quarantine.record_failure(run.feature, now):
-                self._events.log(
-                    now,
-                    EventKind.QUARANTINE,
-                    f"feature {run.feature!r} quarantined after "
-                    f"{self._quarantine.consecutive_failures(run.feature)} "
-                    "consecutive failures",
-                    feature=run.feature,
-                    state="opened",
-                    probation_ms=self._config.quarantine_probation_ms,
-                )
-
-    def _begin_pass(
-        self, decision: TriggerDecision, mode: str = "reactive"
+    def _run_pass(
+        self,
+        decision: TriggerDecision,
+        mode: str,
+        propose: Callable[..., "_Proposal | None"],
+        forecast: "Forecast | None" = None,
     ):
-        """Shared pass preamble: forecast, guard note, interval, event.
+        """The one organizer pass: begin, propose, execute, commit.
 
-        The forecast this pass tunes for is also the envelope the guard
-        later judges the live workload against (forecast-miss
-        detection). Per-pass metric deltas come from a registry interval
-        read, so any counter a component registers (cache, executor,
-        policy engine, future subsystems) is automatically measurable
-        over the pass.
+        ``mode`` ("reactive", "policy" or "replay") shapes the begin
+        stage; ``propose(decision, forecast, pass_span)`` differs per
+        pass kind and returns ``None`` to skip the pass. The forecast a
+        pass tunes for — a replay's is the caller's — is also the
+        envelope the guard later judges the live workload against, and
+        a registry interval makes every counter measurable over the
+        pass. Returns the :class:`OrganizerRunReport` (a replay's
+        :class:`ApplicationReport`), or ``None`` for a skipped pass.
         """
         now = self._db.clock.now_ms
-        forecast = self._predictor.forecast(self._config.horizon_bins)
-        self._guard.note_forecast(forecast)
-        interval = self._telemetry.registry.interval()
-        label = "tuning" if mode == "reactive" else "policy"
+        if mode == "replay":
+            interval = None  # a replay prices nothing
+            started = f"replaying {decision.reason}"
+            span_name, tags = "replay_pass", decision.details
+        else:
+            forecast = self._predictor.forecast(self._config.horizon_bins)
+            interval = self._telemetry.registry.interval()
+            label = "tuning" if mode == "reactive" else "policy"
+            started = f"{label} pass triggered by {decision.trigger}"
+            span_name, tags = "tuning_pass", {"trigger": decision.trigger}
+            if mode == "policy":
+                tags["mode"] = mode
+        if forecast is not None:
+            self._guard.note_forecast(forecast)
         self._events.log(
             now,
             EventKind.TUNING_STARTED,
-            f"{label} pass triggered by {decision.trigger}",
+            started,
             trigger=decision.trigger,
             **decision.details,
         )
-        return forecast, interval
+        with self._tracer.span(span_name, **tags) as pass_span:
+            proposal = propose(decision, forecast, pass_span)
+            if proposal is None:
+                return None
+            # execute, after taking the pre-pass state for a possible
+            # post-commit (guard) rollback: the same snapshot the
+            # executors take per application
+            pre_pass = TuningExecutor.snapshot(self._db)
+            failure = None
+            if mode != "replay":
+                report = self._planner.run(
+                    forecast,
+                    order=proposal.order,
+                    executor=self._executor,
+                    proposals=proposal.proposals,
+                )
+                if proposal.plan is not None:
+                    self._policy.note_executed(proposal.plan.chosen)
+            else:
+                try:
+                    report = self._recovery_executor().execute(
+                        ConfigurationDelta(list(proposal.actions)), self._db
+                    )
+                except TuningAbortedError as exc:
+                    report, failure = exc.report, exc
+            record_id = self._commit_pass(
+                decision, interval, pass_span, pre_pass, proposal, report,
+                failure,
+            )
+        if mode == "replay":
+            return report
+        run_report = OrganizerRunReport(
+            decision=decision,
+            order=proposal.order,
+            tuning=report,
+            record_id=record_id,
+            tuned_features=proposal.order,
+            skipped_features=proposal.skipped,
+            quarantined_features=proposal.quarantined,
+            plan=proposal.plan,
+        )
+        if self._commit_listener is not None:
+            self._commit_listener(self, run_report)
+        return run_report
+
+    # ------------------------------------------------------------------
+    # proposers
 
     def _select_features(
-        self, forecast: "Forecast", pass_span
-    ) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]] | None:
-        """Plan-propose prologue shared by both pass kinds: refresh the
-        LP ordering when due, then filter the ordered features through
-        the tuning-time budget and the quarantine breaker.
+        self, decision: TriggerDecision, forecast: "Forecast", pass_span
+    ) -> "_Proposal | None":
+        """The reactive proposer, and the policy proposer's prologue:
+        refresh the LP ordering when due, then filter the ordered
+        features through the tuning-time budget and the quarantine
+        breaker.
 
-        Returns ``(subset, skipped, quarantined)``, or ``None`` when no
-        feature survives — such a pass does no work, so it must not
-        append a configuration record, restart the cooldown, or count
-        against the order-refresh cadence.
+        Returns ``None`` when no feature survives — such a pass does no
+        work, so it must not append a configuration record, restart the
+        cooldown, or count against the order-refresh cadence.
         """
         refresh = (
             self._cached_order is None
@@ -658,55 +714,187 @@ class Organizer:
             pass_span.tag(skipped="all features quarantined")
             return None
         self._runs_since_refresh += 1
-        return subset, skipped, quarantined
+        return _Proposal(subset, skipped, quarantined)
+
+    def _feature_subset(self, order: tuple[str, ...]) -> tuple[str, ...]:
+        budget = self._config.tuning_time_budget_ms
+        if budget is None or self._last_matrix is None:
+            return order
+        allowed = set(
+            top_features_by_impact_per_cost(self._last_matrix, budget)
+        )
+        return tuple(name for name in order if name in allowed)
+
+    def _admit_features(
+        self, subset: tuple[str, ...]
+    ) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """Filter ``subset`` through the quarantine breaker.
+
+        Returns ``(admitted, quarantined)`` and logs a QUARANTINE event
+        for every blocked feature and every probation re-admission."""
+        now = self._db.clock.now_ms
+        admitted: list[str] = []
+        quarantined: list[str] = []
+        for name in subset:
+            admission = self._quarantine.admit(name, now)
+            if admission is Admission.QUARANTINED:
+                quarantined.append(name)
+                remaining = self._quarantine.remaining_ms(name, now)
+                self._log_quarantine(
+                    now, name, "quarantined",
+                    f"feature {name!r} quarantined for another "
+                    f"{remaining:.0f} ms",
+                    remaining_ms=remaining,
+                )
+                continue
+            if admission is Admission.PROBATION:
+                self._log_quarantine(
+                    now, name, "probation",
+                    f"feature {name!r} re-admitted on probation",
+                )
+            admitted.append(name)
+        return tuple(admitted), tuple(quarantined)
+
+    def _propose_plan(
+        self, decision: TriggerDecision, forecast: "Forecast", pass_span
+    ) -> "_Proposal | None":
+        """The policy proposer: the admitted features propose (applying
+        nothing), the plan prefixes are priced against the declared
+        objectives, and the chosen plan's features and proposals run."""
+        selected = self._select_features(decision, forecast, pass_span)
+        if selected is None:
+            return None
+        engine = self._policy
+        with self._tracer.span("plan_propose") as propose_span:
+            steps = engine.propose_steps(
+                tuners=self._planner.tuners,
+                order=selected.order,
+                forecast=forecast,
+                constraints=self._constraints,
+                optimizer=self._optimizer,
+            )
+            propose_span.tag(steps=len(steps))
+        if not steps:
+            # an empty plan still counts as an attempt: objectives
+            # that no feature can improve must not re-propose every
+            # tick, so the cooldown restarts (unlike a zero-feature
+            # budget skip, where no work was even possible)
+            now = self._db.clock.now_ms
+            self._last_tuning_ms = now
+            self._events.log(
+                now,
+                EventKind.SKIP,
+                "policy pass skipped: no feature proposes a change",
+                trigger=decision.trigger,
+                **decision.details,
+            )
+            pass_span.tag(skipped="empty plan")
+            return None
+
+        with self._tracer.span("plan_evaluate") as eval_span:
+            plan_report = engine.evaluate_plans(
+                steps=steps,
+                forecast=forecast,
+                optimizer=self._optimizer,
+                db=self._db,
+                context=self._context(),
+            )
+            chosen = plan_report.chosen
+            eval_span.tag(
+                alternatives=len(plan_report.alternatives),
+                chosen=len(chosen.steps),
+                feasible=chosen.feasible,
+            )
+        self._events.log(
+            self._db.clock.now_ms,
+            EventKind.POLICY,
+            f"plan chosen: {' -> '.join(chosen.features)} "
+            f"({'meets' if chosen.feasible else 'closest to'} the "
+            f"declared objectives; predicted workload "
+            f"{plan_report.baseline_cost_ms:.2f} -> "
+            f"{chosen.metrics.expected_cost_ms:.2f} ms)",
+            trigger=decision.trigger,
+            features=list(chosen.features),
+            alternatives=len(plan_report.alternatives),
+            feasible=chosen.feasible,
+            baseline_cost_ms=plan_report.baseline_cost_ms,
+            predicted_cost_ms=chosen.metrics.expected_cost_ms,
+            score=chosen.score,
+            **{f"{s.name}_margin": s.margin for s in chosen.statuses},
+        )
+        in_plan = set(chosen.features)
+        dropped = tuple(n for n in selected.order if n not in in_plan)
+        return _Proposal(
+            chosen.features,
+            selected.skipped + dropped,
+            selected.quarantined,
+            plan=plan_report,
+            proposals={s.feature: s.result for s in chosen.steps},
+        )
+
+    # ------------------------------------------------------------------
+    # commit
 
     def _commit_pass(
-        self,
-        decision: TriggerDecision,
-        interval,
-        pass_span,
-        pre_pass,
-        report: RecursiveTuningReport,
-    ) -> int:
-        """Plan-execute epilogue shared by both pass kinds: feed outcomes
-        to the breaker, append configuration records, open guard
-        probation, and log the TUNING_FINISHED accounting."""
-        self._last_tuning_ms = self._db.clock.now_ms
-        self._record_run_outcomes(report)
-
-        # failed runs were rolled back: they contribute no actions,
-        # no predicted benefit, and no feedback training pairs
-        ok_runs = [r for r in report.runs if not r.failed]
-        predicted = sum(r.result.predicted_benefit_ms for r in ok_runs)
-        measured = report.initial_cost_ms - report.final_cost_ms
-        record = ConfigurationRecord(
-            instance=ConfigurationInstance.capture(self._db),
-            applied_at_ms=self._db.clock.now_ms,
-            trigger=decision.trigger,
-            feature=None,
-            action_summaries=[
-                summary
-                for r in ok_runs
-                for summary in r.report.action_summaries
-            ],
-            predicted_benefit_ms=predicted,
-            reconfiguration_cost_ms=report.total_reconfiguration_ms,
-            measured_benefit_ms=measured,
+        self, decision: TriggerDecision, interval, pass_span, pre_pass,
+        proposal: "_Proposal", report, failure: TuningAbortedError | None,
+    ) -> int | None:
+        """Commit stage: feed outcomes to the breaker, append
+        configuration records, open guard probation, and log the
+        TUNING_FINISHED accounting. An aborted replay commits nothing.
+        """
+        now = self._db.clock.now_ms
+        self._last_tuning_ms = now
+        # a replay proposes actions; a tuned pass, features to tune
+        replay = bool(proposal.actions)
+        if not replay:
+            self._record_run_outcomes(report)
+            # failed runs were rolled back: they contribute no actions,
+            # no predicted benefit, and no feedback training pairs
+            runs = [r for r in report.runs if not r.failed]
+            summaries = [s for r in runs for s in r.report.action_summaries]
+            predicted = sum(r.result.predicted_benefit_ms for r in runs)
+            work_ms = report.total_reconfiguration_ms
+            measured = report.initial_cost_ms - report.final_cost_ms
+            features = tuple(
+                r.feature for r in runs if r.report.action_summaries
+            )
+            inverse = tuple(a for r in runs for a in r.report.inverse_actions)
+        else:
+            source = decision.details["source"]
+            origin = source or "prior"
+            if failure is not None:
+                pass_span.tag(failed=True)
+                self._log_failure(
+                    now, report,
+                    f"replayed pass from {origin} failed: {failure}",
+                    "failed replay", source=source,
+                )
+                return None
+            runs = []
+            summaries = list(report.action_summaries)
+            predicted = proposal.predicted_benefit_ms
+            work_ms = report.total_work_ms
+            measured = proposal.cost_before_ms - proposal.cost_after_ms
+            features = proposal.order
+            inverse = tuple(report.inverse_actions)
+        instance = ConfigurationInstance.capture(self._db)
+        record_id = self._store.append(
+            ConfigurationRecord(
+                instance, now, decision.trigger, None, summaries,
+                predicted, work_ms, measured,
+            )
         )
-        record_id = self._store.append(record)
         # also store one record per feature so per-feature feedback
         # learning (LearnedFeedbackAssessor) has training pairs
-        for r in ok_runs:
+        for r in runs:
             self._store.append(
                 ConfigurationRecord(
-                    instance=record.instance,
-                    applied_at_ms=record.applied_at_ms,
-                    trigger=decision.trigger,
-                    feature=r.feature,
-                    action_summaries=list(r.report.action_summaries),
-                    predicted_benefit_ms=r.result.predicted_benefit_ms,
-                    reconfiguration_cost_ms=r.report.total_work_ms,
-                    measured_benefit_ms=r.cost_before_ms - r.cost_after_ms,
+                    instance, now, decision.trigger, r.feature,
+                    list(r.report.action_summaries),
+                    r.result.predicted_benefit_ms,
+                    r.report.total_work_ms,
+                    r.cost_before_ms - r.cost_after_ms,
                 )
             )
         # the committed pass enters probation: its inverse actions are
@@ -714,323 +902,130 @@ class Organizer:
         # can undo it bit-identically (see repro.guard)
         saved_epoch, saved_pool = pre_pass
         self._guard.open_probation(
-            self._db.clock.now_ms,
-            features=tuple(
-                r.feature for r in ok_runs if r.report.action_summaries
-            ),
-            inverse_actions=tuple(
-                a for r in ok_runs for a in r.report.inverse_actions
-            ),
+            now,
+            features=features,
+            inverse_actions=inverse,
             saved_epoch=saved_epoch,
             saved_pool=saved_pool,
             record_id=record_id,
         )
-        deltas = interval.deltas()
-        cache_hits = int(deltas.get(WHATIF_CACHE_HITS, 0.0))
-        cache_misses = int(deltas.get(WHATIF_CACHE_MISSES, 0.0))
-        cache_priced = cache_hits + cache_misses
-        pass_span.tag(
-            improvement=round(report.improvement, 4),
-            cache_hits=cache_hits,
-            cache_misses=cache_misses,
-        )
-        if report.failed_features:
-            pass_span.tag(failed_features=len(report.failed_features))
-        self._events.log(
-            self._db.clock.now_ms,
-            EventKind.TUNING_FINISHED,
-            f"workload cost {report.initial_cost_ms:.2f} -> "
-            f"{report.final_cost_ms:.2f} ms "
-            f"(what-if cache: {cache_hits} hits / {cache_misses} misses)",
-            improvement=report.improvement,
-            # reconfiguration_ms records *work* (sum of per-action
-            # costs), not elapsed wall time; see tuning/executors/base.py
-            reconfiguration_ms=report.total_reconfiguration_ms,
-            cache_hits=cache_hits,
-            cache_misses=cache_misses,
-            cache_evictions=int(deltas.get(WHATIF_CACHE_EVICTIONS, 0.0)),
-            cache_hit_rate=(
-                cache_hits / cache_priced if cache_priced else 0.0
-            ),
-        )
+        if replay:
+            pass_span.tag(
+                record_id=record_id,
+                predicted_benefit_ms=round(predicted, 3),
+            )
+            message = (
+                f"replayed pass from {origin} applied: what-if "
+                f"{proposal.cost_before_ms:.2f} -> "
+                f"{proposal.cost_after_ms:.2f} ms ({len(summaries)} actions)"
+            )
+            data = dict(
+                source=source,
+                predicted_benefit_ms=predicted,
+                reconfiguration_ms=work_ms,
+                cost_before_ms=proposal.cost_before_ms,
+                cost_after_ms=proposal.cost_after_ms,
+            )
+        else:
+            deltas = interval.deltas()
+            hits = int(deltas.get(WHATIF_CACHE_HITS, 0.0))
+            misses = int(deltas.get(WHATIF_CACHE_MISSES, 0.0))
+            pass_span.tag(
+                improvement=round(report.improvement, 4),
+                cache_hits=hits,
+                cache_misses=misses,
+            )
+            if report.failed_features:
+                pass_span.tag(failed_features=len(report.failed_features))
+            message = (
+                f"workload cost {report.initial_cost_ms:.2f} -> "
+                f"{report.final_cost_ms:.2f} ms "
+                f"(what-if cache: {hits} hits / {misses} misses)"
+            )
+            data = dict(
+                improvement=report.improvement,
+                # reconfiguration_ms records *work* (sum of per-action
+                # costs), not elapsed wall time; see executors/base.py
+                reconfiguration_ms=work_ms,
+                cache_hits=hits,
+                cache_misses=misses,
+                cache_evictions=int(deltas.get(WHATIF_CACHE_EVICTIONS, 0.0)),
+                cache_hit_rate=hits / (hits + misses) if hits + misses else 0.0,
+            )
+        self._events.log(now, EventKind.TUNING_FINISHED, message, **data)
         return record_id
 
-    def run_tuning(
-        self, decision: TriggerDecision | None = None
-    ) -> OrganizerRunReport | None:
-        """Run one full trigger-reactive tuning pass (also callable
-        manually).
-
-        Returns ``None`` when the tuning-time budget admits no feature:
-        a zero-feature pass would do no work, so it must not append a
-        configuration record, restart the cooldown, or count against the
-        order-refresh cadence.
-        """
-        decision = decision or TriggerDecision(True, "manual", "manual request")
-        forecast, interval = self._begin_pass(decision)
-
-        with self._tracer.span(
-            "tuning_pass", trigger=decision.trigger
-        ) as pass_span:
-            selected = self._select_features(forecast, pass_span)
-            if selected is None:
-                return None
-            subset, skipped, quarantined = selected
-
-            # pre-pass state for a possible post-commit (guard) rollback:
-            # the same snapshot the executors take per application
-            pre_pass = TuningExecutor.snapshot(self._db)
-            report = self._planner.run(
-                forecast, order=subset, executor=self._executor
-            )
-            record_id = self._commit_pass(
-                decision, interval, pass_span, pre_pass, report
-            )
-        run_report = OrganizerRunReport(
-            decision=decision,
-            order=subset,
-            tuning=report,
-            record_id=record_id,
-            tuned_features=subset,
-            skipped_features=skipped,
-            quarantined_features=quarantined,
-        )
-        if self._commit_listener is not None:
-            self._commit_listener(self, run_report)
-        return run_report
-
-    def run_policy_pass(
-        self, decision: TriggerDecision | None = None
-    ) -> OrganizerRunReport | None:
-        """Run one goal-driven pass: plan-propose, plan-evaluate,
-        plan-execute.
-
-        The LP ordering, the tuning-time budget, and the quarantine
-        breaker gate the candidate features exactly as in the reactive
-        path; the difference is that every admitted feature first
-        *proposes* (applying nothing), the proposed plan prefixes are
-        priced against the declared objectives with the batched what-if
-        oracle, and only the chosen alternative is executed — under
-        guard probation like any other pass.
-        """
-        engine = self._policy
-        if engine is None:
-            return self.run_tuning(decision)
-        decision = decision or TriggerDecision(
-            True, POLICY_TRIGGER, "manual policy pass"
-        )
-        forecast, interval = self._begin_pass(decision, mode="policy")
-
-        with self._tracer.span(
-            "tuning_pass", trigger=decision.trigger, mode="policy"
-        ) as pass_span:
-            selected = self._select_features(forecast, pass_span)
-            if selected is None:
-                return None
-            subset, skipped, quarantined = selected
-
-            with self._tracer.span("plan_propose") as propose_span:
-                steps = engine.propose_steps(
-                    tuners=self._planner.tuners,
-                    order=subset,
-                    forecast=forecast,
-                    constraints=self._constraints,
-                    optimizer=self._optimizer,
-                )
-                propose_span.tag(steps=len(steps))
-            if not steps:
-                # an empty plan still counts as an attempt: objectives
-                # that no feature can improve must not re-propose every
-                # tick, so the cooldown restarts (unlike a zero-feature
-                # budget skip, where no work was even possible)
-                now = self._db.clock.now_ms
-                self._last_tuning_ms = now
-                self._events.log(
-                    now,
-                    EventKind.SKIP,
-                    "policy pass skipped: no feature proposes a change",
-                    trigger=decision.trigger,
-                    **decision.details,
-                )
-                pass_span.tag(skipped="empty plan")
-                return None
-
-            with self._tracer.span("plan_evaluate") as eval_span:
-                plan_report = engine.evaluate_plans(
-                    steps=steps,
-                    forecast=forecast,
-                    optimizer=self._optimizer,
-                    db=self._db,
-                    context=self._context(),
-                )
-                chosen = plan_report.chosen
-                eval_span.tag(
-                    alternatives=len(plan_report.alternatives),
-                    chosen=len(chosen.steps),
-                    feasible=chosen.feasible,
-                )
-            self._events.log(
-                self._db.clock.now_ms,
-                EventKind.POLICY,
-                f"plan chosen: {' -> '.join(chosen.features)} "
-                f"({'meets' if chosen.feasible else 'closest to'} the "
-                f"declared objectives; predicted workload "
-                f"{plan_report.baseline_cost_ms:.2f} -> "
-                f"{chosen.metrics.expected_cost_ms:.2f} ms)",
-                trigger=decision.trigger,
-                features=list(chosen.features),
-                alternatives=len(plan_report.alternatives),
-                feasible=chosen.feasible,
-                baseline_cost_ms=plan_report.baseline_cost_ms,
-                predicted_cost_ms=chosen.metrics.expected_cost_ms,
-                score=chosen.score,
-                **{
-                    f"{s.name}_margin": s.margin for s in chosen.statuses
-                },
-            )
-
-            pre_pass = TuningExecutor.snapshot(self._db)
-            report = self._planner.run(
-                forecast,
-                order=chosen.features,
-                executor=self._executor,
-                proposals={s.feature: s.result for s in chosen.steps},
-            )
-            engine.note_executed(chosen)
-            record_id = self._commit_pass(
-                decision, interval, pass_span, pre_pass, report
-            )
-        in_plan = set(chosen.features)
-        dropped = tuple(name for name in subset if name not in in_plan)
-        run_report = OrganizerRunReport(
-            decision=decision,
-            order=chosen.features,
-            tuning=report,
-            record_id=record_id,
-            tuned_features=chosen.features,
-            skipped_features=skipped + dropped,
-            quarantined_features=quarantined,
-            plan=plan_report,
-        )
-        if self._commit_listener is not None:
-            self._commit_listener(self, run_report)
-        return run_report
-
-    # ------------------------------------------------------------------
-    # fleet prior replay
-
-    def replay_pass(
-        self,
-        actions: Sequence["Action"],
-        *,
-        features: tuple[str, ...] = (),
-        source: str = "",
-        predicted_benefit_ms: float = 0.0,
-        cost_before_ms: float = 0.0,
-        cost_after_ms: float = 0.0,
-        forecast: "Forecast | None" = None,
-    ) -> ApplicationReport | None:
-        """Apply a committed pass harvested from a look-alike tenant.
-
-        The cheap path of fleet tuning: instead of enumerating and
-        assessing candidates, the forward ``actions`` of a pass another
-        tenant already committed are applied through the failure-aware
-        executor, recorded in the configuration store, and put on guard
-        probation exactly like a locally tuned pass — the regression
-        watchdog treats replayed and tuned commits identically. Callers
-        (the fleet arbiter) are expected to have what-if validated the
-        delta first; ``cost_before_ms``/``cost_after_ms`` carry that
-        validation's pricing into the record. ``forecast`` — typically
-        the cluster-level forecast the prior was validated against — is
-        noted with the guard so forecast-miss escalation covers replayed
-        tenants too. Counts as a tuning for cooldown/trigger purposes;
-        does not re-fire the commit listener (no priors from replays).
-        """
-        if not actions:
-            return None
+    def _record_run_outcomes(self, report: RecursiveTuningReport) -> None:
+        """Feed per-feature application outcomes into the breaker and
+        emit FAULT/ROLLBACK/QUARANTINE events for failed runs."""
         now = self._db.clock.now_ms
+        for run in report.runs:
+            if not run.failed:
+                if self._quarantine.record_success(run.feature):
+                    self._log_quarantine(
+                        now, run.feature, "closed",
+                        f"feature {run.feature!r} recovered: "
+                        "quarantine closed after probation success",
+                    )
+                continue
+            self._log_failure(
+                now, run.report,
+                f"feature {run.feature!r} application failed: {run.failure}",
+                f"feature {run.feature!r}", feature=run.feature,
+            )
+            if self._quarantine.record_failure(run.feature, now):
+                self._log_quarantine(
+                    now, run.feature, "opened",
+                    f"feature {run.feature!r} quarantined after "
+                    f"{self._quarantine.consecutive_failures(run.feature)} "
+                    "consecutive failures",
+                )
+
+    def _log_quarantine(
+        self, now: float, feature: str, state: str, message: str, **data
+    ) -> None:
+        """A QUARANTINE event; an opened breaker also states its
+        probation delay."""
+        if state == "opened":
+            data["probation_ms"] = self._config.quarantine_probation_ms
         self._events.log(
-            now,
-            EventKind.TUNING_STARTED,
-            f"replaying committed pass from {source or 'prior'} "
-            f"({len(actions)} actions)",
-            trigger=FLEET_REPLAY_TRIGGER,
-            source=source,
-            actions=len(actions),
+            now, EventKind.QUARANTINE, message,
+            feature=feature, state=state, **data,
         )
-        if forecast is not None:
-            self._guard.note_forecast(forecast)
-        executor = self._executor or SequentialExecutor(
-            telemetry=self._telemetry
+
+    def _log_failure(
+        self, now: float, report: ApplicationReport, failed: str,
+        undone: str, **subject,
+    ) -> None:
+        """FAULT then ROLLBACK for one aborted application: ``failed``
+        says what failed and why, ``undone`` whose actions were rolled
+        back, and ``subject`` names it in both events' data."""
+        self._events.log(
+            now, EventKind.FAULT, failed, **subject,
+            action=report.failed_action, retries=report.retries,
         )
-        pre_pass = TuningExecutor.snapshot(self._db)
-        delta = ConfigurationDelta(list(actions))
-        with self._tracer.span(
-            "replay_pass", source=source, actions=len(actions)
-        ) as span:
-            try:
-                report = executor.execute(delta, self._db)
-            except TuningAbortedError as exc:
-                report = exc.report
-                now = self._db.clock.now_ms
-                self._last_tuning_ms = now
-                span.tag(failed=True)
-                self._events.log(
-                    now,
-                    EventKind.FAULT,
-                    f"replayed pass from {source or 'prior'} failed: "
-                    f"{exc}",
-                    source=source,
-                    action=report.failed_action,
-                    retries=report.retries,
-                )
-                self._events.log(
-                    now,
-                    EventKind.ROLLBACK,
-                    f"rolled back {report.rollback_actions} actions of "
-                    "failed replay",
-                    source=source,
-                    actions=report.rollback_actions,
-                    work_ms=report.rollback_work_ms,
-                )
-                return report
-            now = self._db.clock.now_ms
-            self._last_tuning_ms = now
-            record_id = self._store.append(
-                ConfigurationRecord(
-                    instance=ConfigurationInstance.capture(self._db),
-                    applied_at_ms=now,
-                    trigger=FLEET_REPLAY_TRIGGER,
-                    feature=None,
-                    action_summaries=list(report.action_summaries),
-                    predicted_benefit_ms=predicted_benefit_ms,
-                    reconfiguration_cost_ms=report.total_work_ms,
-                    measured_benefit_ms=cost_before_ms - cost_after_ms,
-                )
-            )
-            saved_epoch, saved_pool = pre_pass
-            self._guard.open_probation(
-                now,
-                features=features,
-                inverse_actions=tuple(report.inverse_actions),
-                saved_epoch=saved_epoch,
-                saved_pool=saved_pool,
-                record_id=record_id,
-            )
-            span.tag(
-                record_id=record_id,
-                predicted_benefit_ms=round(predicted_benefit_ms, 3),
-            )
-            self._events.log(
-                now,
-                EventKind.TUNING_FINISHED,
-                f"replayed pass from {source or 'prior'} applied: "
-                f"what-if {cost_before_ms:.2f} -> {cost_after_ms:.2f} ms "
-                f"({len(report.action_summaries)} actions)",
-                source=source,
-                predicted_benefit_ms=predicted_benefit_ms,
-                reconfiguration_ms=report.total_work_ms,
-                cost_before_ms=cost_before_ms,
-                cost_after_ms=cost_after_ms,
-            )
-        return report
+        self._events.log(
+            now, EventKind.ROLLBACK,
+            f"rolled back {report.rollback_actions} actions of {undone}",
+            **subject, actions=report.rollback_actions,
+            work_ms=report.rollback_work_ms,
+        )
+
+
+@dataclass
+class _Proposal:
+    """What a proposer hands the execute and commit stages."""
+
+    #: the features the pass tunes, in order (a replay: the prior's)
+    order: tuple[str, ...]
+    skipped: tuple[str, ...] = ()
+    quarantined: tuple[str, ...] = ()
+    #: a policy pass: the evaluated plan and its per-feature proposals
+    plan: PolicyPlanReport | None = None
+    proposals: dict[str, "TuningResult"] | None = None
+    #: a fleet replay: the prior's forward actions, applied as one
+    #: delta, and the what-if pricing that validated them
+    actions: tuple["Action", ...] = ()
+    predicted_benefit_ms: float = 0.0
+    cost_before_ms: float = 0.0
+    cost_after_ms: float = 0.0

@@ -220,23 +220,7 @@ class WhatIfOptimizer:
         configuration. Measured probes run through the executor, so they
         share the database's compiled-plan cache: re-pricing a query the
         engine has planned under the same plan epoch skips compilation."""
-        if self._estimator is not None:
-            return self._estimator.estimate_query_ms(query)
-        if self._cache_size > 0:
-            key = (self._db.config_epoch, query)
-            cached = self._cache.get(key)
-            if cached is not None:
-                self._cache.move_to_end(key)
-                self._hits.inc()
-                return cached
-            self._misses.inc()
-        cost = self._measured_cost(query)
-        if self._cache_size > 0:
-            self._cache[key] = cost
-            if len(self._cache) > self._cache_size:
-                self._cache.popitem(last=False)
-                self._evictions.inc()
-        return cost
+        return self._price((query,))[0]
 
     def batch_query_costs(self, queries: Sequence[Query]) -> list[float]:
         """Costs of many queries, in order — the batched counterpart of
@@ -250,6 +234,12 @@ class WhatIfOptimizer:
         totals are identical to sequential :meth:`query_cost_ms` calls —
         a query repeated within the batch misses once and hits after.
         """
+        return self._price(queries)
+
+    def _price(self, queries: Sequence[Query]) -> list[float]:
+        """The one pricing path: the estimator when one is set, else
+        measured probes, memoised per (epoch, query) in the LRU cache
+        when it is enabled."""
         if self._estimator is not None:
             return [
                 self._estimator.estimate_query_ms(query) for query in queries
@@ -357,20 +347,15 @@ class WhatIfOptimizer:
         pool = self._db.executor.buffer_pool
         saved_epoch = self._db.config_epoch
         saved_pool = (pool.entry_count, pool.used_bytes)
+        inverse = None
         try:
+            # a failing delta.apply_raw undoes its own partial prefix, so
+            # only a fully applied delta has an inverse to roll back
             inverse = delta.apply_raw(self._db)
-        except Exception:
-            # delta.apply_raw undid its own partial prefix; fix the epoch
-            # the same way a normal exit would
-            if (pool.entry_count, pool.used_bytes) == saved_pool:
-                self._db.restore_config_epoch(saved_epoch)
-            else:
-                self._db.bump_config_epoch()
-            raise
-        try:
             yield self
         finally:
-            inverse.apply_raw(self._db)
+            if inverse is not None:
+                inverse.apply_raw(self._db)
             if (pool.entry_count, pool.used_bytes) == saved_pool:
                 self._db.restore_config_epoch(saved_epoch)
             else:

@@ -344,7 +344,7 @@ class FleetDriver:
             and self._checkpoint_every > 0
             and (index + 1) % self._checkpoint_every == 0
         ):
-            self._checkpoint_periodic()
+            self._write_checkpoint(self._checkpoint_dir, background=True)
         return records
 
     def _run_bin_attempt(self, index: int, host) -> dict[str, BinRecord]:
@@ -576,12 +576,45 @@ class FleetDriver:
                 "no checkpoint directory (pass one, or construct the "
                 "fleet with checkpoint_dir=...)"
             )
+        return self._write_checkpoint(target, background=False)
+
+    def _write_checkpoint(self, target: Path, *, background: bool) -> Path:
+        """Join the in-flight write, prepare the bundle, write it, and
+        count and log the checkpoint.
+
+        The periodic (``background``) checkpoint is write-behind: the
+        bundle is captured (or reused from the crash restore point) and
+        encoded to immutable byte segments synchronously, and the disk
+        work — ``write``, ``fsync``, atomic rename — runs on a single
+        in-flight writer thread whose syscalls release the GIL, so the
+        run (and ``checkpoint_write_ms``) only pays for serialization,
+        not for the disk. Joining first makes epochs land in order, and
+        a failed background write surfaces as :class:`CheckpointError`
+        at the next join point (the next checkpoint, a restore, or the
+        final report) rather than being dropped.
+        """
         self._ckpt_join()
         started = time.perf_counter()
         written = self._prepare_checkpoint()
-        path = write_checkpoint(written, target)
+        if background:
+            segments = encode_checkpoint(written)
+            path = checkpoint_path(target, written.next_bin)
+
+            def _write() -> None:
+                try:
+                    write_encoded(segments, target, written.next_bin)
+                    self._ckpt_bytes.inc(path.stat().st_size)
+                except BaseException as exc:  # surfaced at the next join
+                    self._ckpt_error = exc
+
+            self._ckpt_thread = threading.Thread(
+                target=_write, name="fleet-ckpt-writer", daemon=True
+            )
+            self._ckpt_thread.start()
+        else:
+            path = write_checkpoint(written, target)
+            self._ckpt_bytes.inc(path.stat().st_size)
         self._ckpt_writes.inc()
-        self._ckpt_bytes.inc(path.stat().st_size)
         self._ckpt_write_ms.inc((time.perf_counter() - started) * 1000.0)
         self._fleet_events.append(
             {
@@ -629,47 +662,6 @@ class FleetDriver:
                 return replace(ckpt, tenants=tenants)
         return ckpt
 
-    def _checkpoint_periodic(self) -> None:
-        """Write-behind durable checkpoint at a bin boundary.
-
-        The bundle is captured (or reused from the crash restore point)
-        and encoded to immutable byte segments synchronously; the disk
-        work — ``write``, ``fsync``, atomic rename — runs on a single
-        in-flight writer thread whose syscalls release the GIL, so the
-        run only pays for serialization, not for the disk. The previous
-        write is joined first (epochs land in order), and a failed
-        background write surfaces as :class:`CheckpointError` at the
-        next join point (the next checkpoint, a restore, or the final
-        report) rather than being dropped.
-        """
-        target = self._checkpoint_dir
-        self._ckpt_join()
-        started = time.perf_counter()
-        written = self._prepare_checkpoint()
-        segments = encode_checkpoint(written)
-        path = checkpoint_path(target, written.next_bin)
-
-        def _write() -> None:
-            try:
-                write_encoded(segments, target, written.next_bin)
-                self._ckpt_bytes.inc(path.stat().st_size)
-            except BaseException as exc:  # surfaced at the next join
-                self._ckpt_error = exc
-
-        self._ckpt_thread = threading.Thread(
-            target=_write, name="fleet-ckpt-writer", daemon=True
-        )
-        self._ckpt_thread.start()
-        self._ckpt_writes.inc()
-        self._ckpt_write_ms.inc((time.perf_counter() - started) * 1000.0)
-        self._fleet_events.append(
-            {
-                "kind": "checkpoint",
-                "epoch": written.next_bin,
-                "path": str(path),
-            }
-        )
-
     def _ckpt_join(self) -> None:
         """Wait out the in-flight background checkpoint write, if any."""
         thread = self._ckpt_thread
@@ -699,14 +691,7 @@ class FleetDriver:
         of the fleet restores normally.
         """
         self._ckpt_join()  # never read epochs under an in-flight write
-        if isinstance(source, (str, Path)):
-            path = Path(source)
-            if path.is_dir():
-                ckpt, _ = latest_checkpoint(path)
-            else:
-                ckpt = load_checkpoint(path)
-        else:
-            ckpt = source
+        ckpt = _load_checkpoint_source(source)
         if self._pool is not None:
             pool, self._pool = self._pool, None
             pool.abandon()
@@ -845,14 +830,7 @@ class FleetDriver:
         original run never having stopped (held by
         ``tests/fleet/test_checkpoint.py`` across seeds and modes).
         """
-        if isinstance(source, (str, Path)):
-            path = Path(source)
-            if path.is_dir():
-                ckpt, _ = latest_checkpoint(path)
-            else:
-                ckpt = load_checkpoint(path)
-        else:
-            ckpt = source
+        ckpt = _load_checkpoint_source(source)
         if ckpt.build_args is None:
             raise CheckpointError(
                 "checkpoint carries no build_fleet arguments (the fleet "
@@ -977,6 +955,19 @@ class FleetDriver:
 #: Defaults mirrored by the golden tests' legacy arm — change together.
 DEFAULT_TUNE_EVERY_BINS = 6
 DEFAULT_INDEX_BUDGET_MIB = 64.0
+
+
+def _load_checkpoint_source(
+    source: FleetCheckpoint | Path | str,
+) -> FleetCheckpoint:
+    """A checkpoint object as is, a file loaded, or a directory's newest
+    loadable epoch (file-level corruption falls back to older ones)."""
+    if not isinstance(source, (str, Path)):
+        return source
+    path = Path(source)
+    if path.is_dir():
+        return latest_checkpoint(path)[0]
+    return load_checkpoint(path)
 
 
 def default_tenant_driver(

@@ -178,3 +178,18 @@ def test_trigger_precedence_sla_wins_when_all_fire():
     assert decision.reason == (
         f"SLA on {MEAN_QUERY_MS} breached (> 1e-09 for 1 samples)"
     )
+
+
+def test_organizer_with_an_empty_trigger_list_has_no_triggers():
+    from repro.core.organizer import Organizer
+    from repro.tuning.features import IndexSelectionFeature
+    from repro.tuning.tuner import Tuner
+
+    db = make_small_database()
+    predictor = WorkloadPredictor(db, WorkloadAnalyzer(NaiveLastValue))
+    organizer = Organizer(
+        db, predictor, [Tuner(IndexSelectionFeature(), db)], triggers=[]
+    )
+    decision = organizer.evaluate_triggers()
+    assert not decision.should_tune
+    assert decision.reason == "no triggers configured"
